@@ -1,11 +1,15 @@
 """Multigraded Betti tables of Stanley-Reisner rings, without resolutions.
 
-The table is assembled degree by degree: for every subset s of the
+The table is assembled degree by degree: for a subset s of the
 vertices, the reduced homology of the induced subcomplex on s is read
 off, and a nonzero dimension in degree k lands at step i = |s| - k - 1.
+Only the lcm-lattice is visited, the unions of minimal nonfaces with
+the empty set included (Gasharov-Peeva-Welker).  Any other s has a
+vertex v lying in no minimal nonface inside s, so the induced
+subcomplex on s is a cone with apex v and carries no reduced homology.
 Boundary matrices are built once for the whole complex; each subset
-only selects the columns whose faces it contains (the discarded rows
-are zero there, so ranks are unaffected).
+selects the rows and columns whose faces it contains (every dropped
+entry of a kept column is zero, so ranks are unaffected).
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .complexes import SimplicialComplex, VertexSet
+import numpy as np
+
+from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
 from .errors import GuardError, InputError, VoidComplexError
 from .homology import chain_data, profile_from_counts_and_ranks
 from .linalg import PrimeField, rank_array
@@ -109,16 +115,19 @@ def _entry_key(key: tuple[int, VertexSet]) -> tuple[int, int, int]:
     return (i, len(sigma), sigma.bits)
 
 
-def graded_subset_bits(n: int) -> list[int]:
-    """All 2^n bit patterns sorted by cardinality, then value."""
-    return sorted(range(1 << n), key=lambda b: (b.bit_count(), b))
+def lcm_lattice(d: SimplicialComplex) -> set[int]:
+    """Bit patterns of every union of minimal nonfaces, the empty one included."""
+    lattice = {0}
+    for g in minimal_nonfaces(d):
+        lattice |= {x | g.bits for x in lattice}
+    return lattice
 
 
 def ensure_within_sweep_guard(d: SimplicialComplex, max_n: int | None = None) -> None:
     limit = max_n if max_n is not None else sweep_guard()
     if d.n > limit:
         raise GuardError(
-            f"a sweep over n={d.n} vertices touches {1 << d.n} subsets, "
+            f"a sweep over n={d.n} vertices touches up to {1 << d.n} subsets, "
             f"above the guard of n={limit} ({1 << limit} subsets); "
             "raise --max-n or CODEDIM_MAX_N if you mean it"
         )
@@ -129,20 +138,24 @@ def subset_homology_profiles(
     field: PrimeField = PrimeField(2),
     max_n: int | None = None,
 ) -> Iterator[tuple[int, dict[int, int]]]:
-    """Reduced homology of every induced subcomplex, in graded order.
+    """Reduced homology of the induced subcomplex on each lattice element.
 
     Yields (sigma_bits, {degree: dimension}) with zero dimensions
-    omitted.  One pass drives both the Betti table and the restriction
-    maximum behind the strongest dimension bound.
+    omitted, for every sigma in the lcm-lattice of d in increasing bit
+    order.  The subsets skipped are cones and have no reduced homology.
     """
     if d.is_void:
         raise VoidComplexError(
             "void complex has no Stanley-Reisner presentation in this tool"
         )
     ensure_within_sweep_guard(d, max_n)
-    by_card, boundaries = chain_data(d._face_bits())
+    lattice = sorted(lcm_lattice(d))
+    # The last element is the union of all minimal nonfaces; no visited
+    # subset reaches a face outside it.
+    outside = ~lattice[-1]
+    by_card, boundaries = chain_data(b for b in d._face_bits() if b & outside == 0)
     p = field.p
-    for sigma in graded_subset_bits(d.n):
+    for sigma in lattice:
         not_sigma = ~sigma
         counts: list[int] = []
         masks = []
@@ -155,10 +168,7 @@ def subset_homology_profiles(
             masks.append(mask)
         ranks = [0]
         for c in range(1, len(counts)):
-            if counts[c] == len(by_card[c]):
-                sub = boundaries[c]
-            else:
-                sub = boundaries[c][:, masks[c]]
+            sub = boundaries[c][np.ix_(masks[c - 1], masks[c])]
             ranks.append(rank_array(sub, p))
         profile = profile_from_counts_and_ranks(counts, ranks, field)
         yield sigma, profile.dims

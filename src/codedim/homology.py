@@ -49,9 +49,10 @@ def boundary_matrix(rows_bits: np.ndarray, cols_bits: np.ndarray) -> np.ndarray:
 
     Column faces lose one vertex at a time; the sign of the j-th removed
     vertex (in increasing label order) is (-1)^j.  Signs vanish mod 2
-    but keep the matrices honest at every other prime.
+    but keep the matrices honest at every other prime.  Entries are 0
+    and +-1, so int8 holds them at an eighth of the memory of int64.
     """
-    mat = np.zeros((len(rows_bits), len(cols_bits)), dtype=np.int64)
+    mat = np.zeros((len(rows_bits), len(cols_bits)), dtype=np.int8)
     row_index = {int(b): i for i, b in enumerate(rows_bits)}
     for j in range(len(cols_bits)):
         b = int(cols_bits[j])
@@ -72,7 +73,7 @@ def chain_data(face_bits: Iterable[int]) -> tuple[list[np.ndarray], list[np.ndar
     chains; index 0 is a placeholder empty map.
     """
     by_card = group_by_cardinality(face_bits)
-    boundaries: list[np.ndarray] = [np.zeros((0, 0), dtype=np.int64)]
+    boundaries: list[np.ndarray] = [np.zeros((0, 0), dtype=np.int8)]
     for c in range(1, len(by_card)):
         boundaries.append(boundary_matrix(by_card[c - 1], by_card[c]))
     return by_card, boundaries

@@ -99,7 +99,7 @@ class FieldMatrix:
 
 def _rank_numpy(a: np.ndarray, p: int) -> int:
     """Gaussian elimination rank mod p, vectorised per pivot."""
-    a = np.remainder(a, p)
+    a = np.remainder(a, p, dtype=np.int64)
     n_rows, n_cols = a.shape
     r = 0
     for c in range(n_cols):
@@ -190,15 +190,14 @@ def set_backend(name: str) -> None:
 
 
 def rank_array(a: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of a 2-D integer array.  Does not mutate `a`."""
+    """Rank over GF(p) of a 2-D integer array of any width.  Does not mutate `a`."""
     if a.ndim != 2:
         raise InputError("rank expects a 2-D array")
     n_rows, n_cols = a.shape
     if n_rows == 0 or n_cols == 0:
         return 0
     if _active_backend == "numba":
-        work = np.remainder(a, p).astype(np.int64)
-        work = np.ascontiguousarray(work)
+        work = np.ascontiguousarray(np.remainder(a, p, dtype=np.int64))
         return int(_rank_numba(work, p))
     return _rank_numpy(a, p)
 

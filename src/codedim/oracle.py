@@ -23,7 +23,7 @@ from .dimensions import (
     leray_dimension,
     leray_dimension_direct,
 )
-from .errors import GuardError
+from .errors import GuardError, InputError
 from .generators import random_complex
 from .homology import PrimeField, profile_of_face_bits
 from .linalg import warm_up
@@ -73,6 +73,8 @@ def run_oracle_suite(
     table_mutator: Callable[[BettiTable], BettiTable] | None = None,
 ) -> OracleSummary:
     """Run every structural check on `trials` seeded random complexes."""
+    if trials < 0:
+        raise InputError(f"trial count must be nonnegative, got {trials}")
     if n > 8:
         raise GuardError(
             f"oracle checks enumerate all induced subcomplexes; n={n} > 8 refused"

@@ -9,13 +9,14 @@ import time
 from contextlib import contextmanager
 
 from codedim.betti import hochster_table, level_ranks, table_to_m2
-from codedim.complexes import complex_of_code
+from codedim.complexes import VertexSet, complex_of_code
 from codedim.dimensions import full_report, helly_dimension, hom_dimension_betti
 from codedim.generators import (
     complete_bipartite_clique,
     cone_of_cross_polytope,
     cross_polytope,
     code_l26,
+    full_simplex,
 )
 from codedim.linalg import PrimeField
 from codedim.oracle import run_oracle_suite
@@ -137,3 +138,9 @@ def test_criterion_7_property_suite():
         summary = run_oracle_suite(200, n=7, seed=2026)
         assert summary.failures == []
         assert all(count == 200 for count in summary.passes.values())
+
+
+def test_full_simplex_13_single_entry():
+    with verdict("full simplex n=13 (table route skips cones)", 1.0):
+        table = hochster_table(full_simplex(13), GF2)
+        assert table.entries() == {(0, VertexSet.empty(13)): 1}

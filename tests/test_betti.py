@@ -4,8 +4,8 @@ import pytest
 
 from codedim.betti import (
     BettiTable,
-    graded_subset_bits,
     hochster_table,
+    lcm_lattice,
     level_ranks,
     r_values,
     table_from_json,
@@ -28,9 +28,33 @@ from codedim.generators import (
     code_l26,
     random_complex,
 )
-from codedim.linalg import PrimeField
+from codedim.homology import chain_data, profile_from_counts_and_ranks
+from codedim.linalg import PrimeField, rank_array
+from codedim.oracle import _DENSITIES
 
 GF2 = PrimeField(2)
+
+
+def exhaustive_table(d, field):
+    """Reference: all 2^n subsets, each selecting the columns it contains."""
+    by_card, boundaries = chain_data(d._face_bits())
+    entries = {}
+    for sigma in range(1 << d.n):
+        counts, masks = [], []
+        for arr in by_card:
+            mask = (arr & ~sigma) == 0
+            if not mask.any():
+                break
+            counts.append(int(mask.sum()))
+            masks.append(mask)
+        ranks = [0] + [
+            rank_array(boundaries[c][:, masks[c]], field.p)
+            for c in range(1, len(counts))
+        ]
+        dims = profile_from_counts_and_ranks(counts, ranks, field).dims
+        for k, beta in dims.items():
+            entries[(sigma.bit_count() - k - 1, VertexSet(sigma, d.n))] = beta
+    return BettiTable(d.n, field, entries)
 
 
 def entries_of(table):
@@ -194,6 +218,40 @@ class TestTableValidation:
                 2, GF2, {(0, VertexSet.empty(2)): 1, (3, VertexSet.full(2)): 1}
             )
 
-    def test_graded_subset_order(self):
-        bits = graded_subset_bits(3)
-        assert bits == [0, 1, 2, 4, 3, 5, 6, 7]
+
+
+class TestLatticeSweep:
+    def test_square_lattice(self):
+        lattice = lcm_lattice(cross_polytope(1))
+        assert {VertexSet(b, 4).binary() for b in lattice} == {
+            "0000", "1100", "0011", "1111"
+        }
+
+    def test_full_simplex_lattice_is_the_empty_set(self):
+        assert lcm_lattice(full_simplex(5)) == {0}
+
+    @pytest.mark.parametrize(
+        "name,p",
+        [("K_4,4", p) for p in (2, 3, 5)]
+        + [("cone_4", p) for p in (2, 3, 5)]
+        + [("cross_5", 2)],
+    )
+    def test_fixture_tables_match_exhaustive_sweep(self, name, p):
+        d = {
+            "K_4,4": complete_bipartite_clique,
+            "cone_4": cone_of_cross_polytope,
+            "cross_5": cross_polytope,
+        }[name](int(name[-1]))
+        field = PrimeField(p)
+        assert table_to_json(hochster_table(d, field)) == table_to_json(
+            exhaustive_table(d, field)
+        )
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_oracle_seed_tables_match_exhaustive_sweep(self, p):
+        field = PrimeField(p)
+        for seed in range(60):
+            d = random_complex(7, _DENSITIES[seed % len(_DENSITIES)], seed)
+            assert table_to_json(hochster_table(d, field)) == table_to_json(
+                exhaustive_table(d, field)
+            ), seed

@@ -155,6 +155,12 @@ class TestOracleCheck:
         status, out, _ = run(capsys, "oracle-check", "--trials", "0")
         assert status == 0
 
+    def test_negative_trials_exit_two(self, capsys):
+        status, out, err = run(capsys, "oracle-check", "--trials", "-3")
+        assert status == 2
+        assert "nonnegative" in err
+        assert "passed" not in out
+
     def test_corrupted_table_fails(self, capsys):
         status, _, err = run(
             capsys, "oracle-check", "--trials", "3", "--max-n", "4",

@@ -181,6 +181,25 @@ class TestMinimalNonfaces:
                 assert a == b or not a <= b
 
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complete_against_brute_force_scan(self, n):
+        cases = [SimplicialComplex.irrelevant(n)]
+        for seed in range(12):
+            d = random_complex(n, (0.15, 0.4, 0.7)[seed % 3], seed)
+            cases.append(d)
+            # dropping the vertices outside a window leaves them missing
+            cases.append(restrict(d, VertexSet(seed * 37 % (1 << n), n)))
+        for d in cases:
+            faces = set(d._face_bits())
+            expected = {
+                b
+                for b in range(1 << n)
+                if b not in faces
+                and all(b ^ (1 << u) in faces for u in range(n) if b >> u & 1)
+            }
+            assert {s.bits for s in minimal_nonfaces(d)} == expected
+
+
 class TestCliqueComplex:
     def test_square_graph_gives_first_cross_polytope(self):
         edges = [VertexSet.of(e, 4) for e in ([1, 3], [1, 4], [2, 3], [2, 4])]

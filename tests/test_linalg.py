@@ -82,6 +82,11 @@ class TestRankExamples:
         rank_array(arr, 5)
         assert np.array_equal(arr, before)
 
+    def test_narrow_dtype_at_large_prime(self, backend):
+        # int8 boundary entries must be widened before reducing mod p > 127
+        arr = np.array([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], dtype=np.int8)
+        assert rank_array(arr, 131) == rank_array(arr.astype(np.int64), 131) == 2
+
 
 class TestRankProperties:
     @settings(max_examples=60, deadline=None)

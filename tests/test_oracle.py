@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from codedim.errors import GuardError
+from codedim.errors import GuardError, InputError
 from codedim.oracle import corrupt_step_one, run_oracle_suite
 
 
@@ -17,6 +17,10 @@ class TestOracleSuite:
     def test_zero_trials(self):
         summary = run_oracle_suite(0)
         assert summary.ok and summary.trials == 0
+
+    def test_negative_trials_refused(self):
+        with pytest.raises(InputError, match="-3"):
+            run_oracle_suite(-3)
 
     def test_corruption_is_detected(self):
         summary = run_oracle_suite(4, n=4, seed=0, table_mutator=corrupt_step_one)
