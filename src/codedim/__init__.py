@@ -62,7 +62,7 @@ from .homology import (
     top_nonzero_degree,
     unreduced_homology,
 )
-from .linalg import FieldMatrix, PrimeField, rank
+from .linalg import PrimeField
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "CodedimError",
     "ConsistencyError",
     "DimensionReport",
-    "FieldMatrix",
     "GuardError",
     "InputError",
     "PrimeField",
@@ -105,7 +104,6 @@ __all__ = [
     "code_l26",
     "r_values",
     "random_complex",
-    "rank",
     "reduced_homology",
     "report_to_json",
     "restrict",

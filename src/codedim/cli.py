@@ -9,14 +9,18 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import generators
 from .betti import hochster_table, level_ranks, sweep_guard, table_to_json, table_to_m2
-from .complexes import Code, complex_of_code, set_ambient_cap, SimplicialComplex
+from .complexes import (
+    Code,
+    SimplicialComplex,
+    ambient_cap,
+    complex_of_code,
+    set_ambient_cap,
+)
 from .dimensions import full_report, report_to_json
 from .errors import CodedimError, ConsistencyError, InputError
 from .files import read_code, read_complex
 from .linalg import PrimeField
 from .oracle import corrupt_step_one, run_oracle_suite
-
-HARD_GUARD = 24
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
                         help=f"subset-sweep guard (default {sweep_guard()},"
                              " env CODEDIM_MAX_N)")
     parser.add_argument("--allow-large", action="store_true",
-                        help=f"acknowledge sweeps beyond n={HARD_GUARD}")
+                        help=f"acknowledge sweeps beyond n={ambient_cap()}")
     parser.add_argument("--format", choices=formats, default="text",
                         help="output format")
 
@@ -180,12 +184,13 @@ def _add_inputs(parser: argparse.ArgumentParser) -> None:
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     max_n = args.max_n
-    if max_n is not None and max_n > HARD_GUARD and not args.allow_large:
+    cap = ambient_cap()
+    if max_n is not None and max_n > cap and not args.allow_large:
         raise InputError(
-            f"--max-n {max_n} exceeds the hard guard {HARD_GUARD}; "
+            f"--max-n {max_n} exceeds the hard guard {cap}; "
             "add --allow-large if you really mean it"
         )
-    if max_n is not None and max_n > HARD_GUARD:
+    if max_n is not None and max_n > cap:
         set_ambient_cap(max_n)
     gen_args = {
         name: getattr(args, f"gen_{name}")
@@ -233,6 +238,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
+    cap = ambient_cap()
     try:
         cfg = _config_from(args) if args.command != "oracle-check" else RunConfig(
             max_n=args.max_n
@@ -248,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     except CodedimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # --allow-large raises the library-wide cap for this run only.
+        set_ambient_cap(cap)
 
 
 if __name__ == "__main__":

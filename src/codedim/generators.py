@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .complexes import Code, SimplicialComplex, VertexSet, clique_complex
+from .complexes import Code, SimplicialComplex, VertexSet, _check_ambient, clique_complex
 from .errors import InputError
 
 _L26_WORDS = (
@@ -30,6 +30,7 @@ def cross_polytope(i: int) -> SimplicialComplex:
     if i < 0:
         raise InputError(f"cross-polytope index must be >= 0, got {i}")
     n = 2 * (i + 1)
+    _check_ambient(n)
     facets = []
     for choice in itertools.product((0, 1), repeat=i + 1):
         bits = 0
@@ -90,10 +91,11 @@ def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
     Each subset with two or more vertices joins the sample with the
     given probability, independently, so density 0 leaves n isolated
     vertices and density 1 fills the whole simplex.  Enumerates 2^n
-    candidates; intended for small n.
+    candidates, so n is checked against the ambient cap first.
     """
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must lie in [0, 1], got {density}")
+    _check_ambient(n)
     rng = random.Random(seed)
     faces = [1 << v for v in range(n)]
     for bits in range(1, 1 << n):

@@ -15,7 +15,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexes import SimplicialComplex
+from .errors import GuardError
 from .linalg import PrimeField, rank_array
+
+# Cap on the total cells of one complex's dense boundary matrices, 100 MB
+# as int8.  The full simplex on 11 vertices needs about 6.5e5 cells; the
+# hollow simplex on 20 vertices would need 1.3e11.
+MAX_BOUNDARY_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -70,9 +76,16 @@ def chain_data(face_bits: Iterable[int]) -> tuple[list[np.ndarray], list[np.ndar
     """Faces by cardinality plus all boundary matrices.
 
     ``boundaries[c]`` maps cardinality-c chains down to cardinality-(c-1)
-    chains; index 0 is a placeholder empty map.
+    chains; index 0 is a placeholder empty map.  Raises GuardError before
+    allocating anything when the matrices would exceed MAX_BOUNDARY_CELLS.
     """
     by_card = group_by_cardinality(face_bits)
+    cells = sum(len(by_card[c - 1]) * len(by_card[c]) for c in range(1, len(by_card)))
+    if cells > MAX_BOUNDARY_CELLS:
+        raise GuardError(
+            f"boundary matrices over {sum(map(len, by_card))} faces need "
+            f"{cells} cells, above the cap of {MAX_BOUNDARY_CELLS}"
+        )
     boundaries: list[np.ndarray] = [np.zeros((0, 0), dtype=np.int8)]
     for c in range(1, len(by_card)):
         boundaries.append(boundary_matrix(by_card[c - 1], by_card[c]))

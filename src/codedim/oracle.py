@@ -26,7 +26,6 @@ from .dimensions import (
 from .errors import GuardError, InputError
 from .generators import random_complex
 from .homology import PrimeField, profile_of_face_bits
-from .linalg import warm_up
 
 CHECK_NAMES = (
     "bound-ordering",
@@ -79,7 +78,6 @@ def run_oracle_suite(
         raise GuardError(
             f"oracle checks enumerate all induced subcomplexes; n={n} > 8 refused"
         )
-    warm_up()
     summary = OracleSummary(trials=trials, passes={name: 0 for name in CHECK_NAMES})
     gf2 = PrimeField(2)
 

@@ -2,7 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from codedim.cli import main
+from codedim.complexes import ambient_cap
+from codedim.errors import GuardError
+from codedim.generators import full_simplex
 
 L26_FILE = """# the 14-word code on four neurons
 n=4
@@ -200,6 +205,23 @@ class TestErrorPaths:
         )
         assert status == 2
         assert "--allow-large" in err
+
+    def test_allow_large_does_not_leak_the_ambient_cap(self, capsys):
+        status, _, _ = run(
+            capsys, "betti", "--generator", "square", "--max-n", "30",
+            "--allow-large",
+        )
+        assert status == 0
+        assert ambient_cap() == 24
+        with pytest.raises(GuardError):
+            full_simplex(25)
+
+    def test_negative_random_size_exits_two(self, capsys):
+        status, _, err = run(
+            capsys, "analyze", "--generator", "random", "--n", "-1"
+        )
+        assert status == 2
+        assert "n=-1" in err
 
     def test_nonprime_field_rejected(self, capsys):
         status, _, err = run(

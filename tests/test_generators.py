@@ -8,7 +8,7 @@ from codedim.complexes import (
     is_clique_complex,
     minimal_nonfaces,
 )
-from codedim.errors import InputError
+from codedim.errors import GuardError, InputError
 from codedim.generators import (
     complete_bipartite_clique,
     cone,
@@ -47,6 +47,10 @@ class TestCrossPolytope:
     def test_negative_index_rejected(self):
         with pytest.raises(InputError):
             cross_polytope(-1)
+
+    def test_oversized_index_refused_before_enumerating_facets(self):
+        with pytest.raises(GuardError):
+            cross_polytope(40)
 
 
 class TestCone:
@@ -145,3 +149,8 @@ class TestRandomComplex:
     def test_density_out_of_range_rejected(self):
         with pytest.raises(InputError):
             random_complex(5, 1.5, 0)
+
+    def test_ambient_out_of_range_refused_before_enumerating(self):
+        for n in (-1, 40):
+            with pytest.raises(GuardError):
+                random_complex(n, 0.5, 0)

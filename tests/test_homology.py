@@ -1,6 +1,9 @@
 import pytest
 
+from codedim import homology
+from codedim.betti import hochster_table
 from codedim.complexes import SimplicialComplex, VertexSet, restrict
+from codedim.errors import GuardError
 from codedim.generators import (
     cone,
     cone_of_cross_polytope,
@@ -51,6 +54,19 @@ class TestReducedHomology:
     def test_hollow_simplex_is_a_sphere(self):
         for m in (2, 3, 4, 5):
             assert reduced_homology(hollow_simplex(m), GF2).dims == {m - 2: 1}
+
+    def test_boundary_memory_guard_runs_before_allocation(self, monkeypatch):
+        # C(18,9) x C(18,10) alone is 2.1e9 cells; the guard must refuse on
+        # both routes without building a single matrix.
+        def refuse(*_):
+            raise AssertionError("boundary matrix built past the memory guard")
+
+        monkeypatch.setattr(homology, "boundary_matrix", refuse)
+        d = hollow_simplex(18)
+        with pytest.raises(GuardError, match="cells"):
+            hochster_table(d, GF2)
+        with pytest.raises(GuardError, match="cells"):
+            reduced_homology(d, GF2)
 
 
 class TestUnreducedHomology:

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
 from codedim.errors import GuardError, InputError
@@ -31,22 +27,3 @@ class TestOracleSuite:
         with pytest.raises(GuardError):
             run_oracle_suite(1, n=9)
 
-
-def test_numpy_fallback_selected_by_env_flag():
-    env = dict(os.environ, CODEDIM_DISABLE_NUMBA="1")
-    script = (
-        "from codedim.linalg import active_backend\n"
-        "from codedim.oracle import run_oracle_suite\n"
-        "assert active_backend() == 'numpy', active_backend()\n"
-        "assert run_oracle_suite(2, n=4, seed=5).ok\n"
-        "print('numpy path ok')\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "numpy path ok" in result.stdout
