@@ -15,7 +15,6 @@ entry of a kept column is zero, so ranks are unaffected).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -26,18 +25,9 @@ from .errors import GuardError, InputError, VoidComplexError
 from .homology import chain_data, profile_from_counts_and_ranks
 from .linalg import PrimeField, rank_array
 
-DEFAULT_SWEEP_GUARD = 20
-
-
-def sweep_guard() -> int:
-    """Subset-sweep vertex limit; CODEDIM_MAX_N overrides the default."""
-    raw = os.environ.get("CODEDIM_MAX_N", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(f"CODEDIM_MAX_N={raw!r} is not an integer") from None
-    return DEFAULT_SWEEP_GUARD
+# Fixed vertex limit for the subset sweeps (this table and the direct
+# Leray route), below the ambient cap of complexes.AMBIENT_CAP.
+SWEEP_GUARD = 20
 
 
 @dataclass(frozen=True)
@@ -123,20 +113,16 @@ def lcm_lattice(d: SimplicialComplex) -> set[int]:
     return lattice
 
 
-def ensure_within_sweep_guard(d: SimplicialComplex, max_n: int | None = None) -> None:
-    limit = max_n if max_n is not None else sweep_guard()
-    if d.n > limit:
+def ensure_sweepable(d: SimplicialComplex) -> None:
+    if d.n > SWEEP_GUARD:
         raise GuardError(
             f"a sweep over n={d.n} vertices touches up to {1 << d.n} subsets, "
-            f"above the guard of n={limit} ({1 << limit} subsets); "
-            "raise --max-n or CODEDIM_MAX_N if you mean it"
+            f"above the guard of n={SWEEP_GUARD} ({1 << SWEEP_GUARD} subsets)"
         )
 
 
 def subset_homology_profiles(
-    d: SimplicialComplex,
-    field: PrimeField = PrimeField(2),
-    max_n: int | None = None,
+    d: SimplicialComplex, field: PrimeField = PrimeField(2)
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Reduced homology of the induced subcomplex on each lattice element.
 
@@ -148,7 +134,7 @@ def subset_homology_profiles(
         raise VoidComplexError(
             "void complex has no Stanley-Reisner presentation in this tool"
         )
-    ensure_within_sweep_guard(d, max_n)
+    ensure_sweepable(d)
     lattice = sorted(lcm_lattice(d))
     # The last element is the union of all minimal nonfaces; no visited
     # subset reaches a face outside it.
@@ -175,13 +161,11 @@ def subset_homology_profiles(
 
 
 def hochster_table(
-    d: SimplicialComplex,
-    field: PrimeField = PrimeField(2),
-    max_n: int | None = None,
+    d: SimplicialComplex, field: PrimeField = PrimeField(2)
 ) -> BettiTable:
     """Betti table of the Stanley-Reisner ring of d over the given field."""
     entries: dict[tuple[int, VertexSet], int] = {}
-    for sigma_bits, dims in subset_homology_profiles(d, field, max_n):
+    for sigma_bits, dims in subset_homology_profiles(d, field):
         if not dims:
             continue
         size = sigma_bits.bit_count()

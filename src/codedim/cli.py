@@ -8,14 +8,8 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 
 from . import generators
-from .betti import hochster_table, level_ranks, sweep_guard, table_to_json, table_to_m2
-from .complexes import (
-    Code,
-    SimplicialComplex,
-    ambient_cap,
-    complex_of_code,
-    set_ambient_cap,
-)
+from .betti import hochster_table, level_ranks, table_to_json, table_to_m2
+from .complexes import Code, SimplicialComplex, complex_of_code
 from .dimensions import full_report, report_to_json
 from .errors import CodedimError, ConsistencyError, InputError
 from .files import read_code, read_complex
@@ -25,10 +19,9 @@ from .oracle import corrupt_step_one, run_oracle_suite
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One CLI invocation: field, guard, format, and the input source."""
+    """One CLI invocation: field, format, and the input source."""
 
     field_char: int = 2
-    max_n: int | None = None
     output_format: str = "text"
     generator: str | None = None
     generator_args: dict[str, float] = dataclass_field(default_factory=dict)
@@ -97,7 +90,7 @@ def _witness_suffix(report, key: str) -> str:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     d = build_complex(cfg)
-    report = full_report(d, PrimeField(cfg.field_char), cfg.max_n)
+    report = full_report(d, PrimeField(cfg.field_char))
     if cfg.output_format == "json":
         print(report_to_json(report))
         return 0
@@ -119,7 +112,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_betti(cfg: RunConfig) -> int:
     d = build_complex(cfg)
-    table = hochster_table(d, PrimeField(cfg.field_char), cfg.max_n)
+    table = hochster_table(d, PrimeField(cfg.field_char))
     if cfg.output_format == "json":
         print(table_to_json(table))
     elif cfg.output_format == "m2":
@@ -131,8 +124,7 @@ def cmd_betti(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle_check(cfg: RunConfig, trials: int, seed: int, corrupt: bool) -> int:
-    n = cfg.max_n if cfg.max_n is not None else 6
+def cmd_oracle_check(trials: int, n: int, seed: int, corrupt: bool) -> int:
     mutator = corrupt_step_one if corrupt else None
     summary = run_oracle_suite(trials, n=n, seed=seed, table_mutator=mutator)
     for name, passed in summary.passes.items():
@@ -149,11 +141,6 @@ def cmd_oracle_check(cfg: RunConfig, trials: int, seed: int, corrupt: bool) -> i
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     parser.add_argument("--field", type=int, default=2, metavar="P",
                         help="prime field characteristic (default 2)")
-    parser.add_argument("--max-n", type=int, default=None, metavar="K",
-                        help=f"subset-sweep guard (default {sweep_guard()},"
-                             " env CODEDIM_MAX_N)")
-    parser.add_argument("--allow-large", action="store_true",
-                        help=f"acknowledge sweeps beyond n={ambient_cap()}")
     parser.add_argument("--format", choices=formats, default="text",
                         help="output format")
 
@@ -183,15 +170,6 @@ def _add_inputs(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    max_n = args.max_n
-    cap = ambient_cap()
-    if max_n is not None and max_n > cap and not args.allow_large:
-        raise InputError(
-            f"--max-n {max_n} exceeds the hard guard {cap}; "
-            "add --allow-large if you really mean it"
-        )
-    if max_n is not None and max_n > cap:
-        set_ambient_cap(max_n)
     gen_args = {
         name: getattr(args, f"gen_{name}")
         for name in ("i", "r", "m", "n", "density", "seed")
@@ -199,7 +177,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     }
     return RunConfig(
         field_char=args.field,
-        max_n=max_n,
         output_format=getattr(args, "format", "text"),
         generator=args.generator,
         generator_args=gen_args,
@@ -227,10 +204,9 @@ def make_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle-check", help="randomized consistency suite")
     oracle.add_argument("--trials", type=int, required=True)
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--max-n", type=int, default=None, metavar="K",
+    oracle.add_argument("--max-n", type=int, default=6, dest="vertices",
+                        metavar="K",
                         help="vertex count of the random complexes (<= 8)")
-    oracle.add_argument("--allow-large", action="store_true",
-                        help=argparse.SUPPRESS)
     oracle.add_argument("--inject-corrupt", action="store_true",
                         help=argparse.SUPPRESS)
     return parser
@@ -238,25 +214,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    cap = ambient_cap()
     try:
-        cfg = _config_from(args) if args.command != "oracle-check" else RunConfig(
-            max_n=args.max_n
-        )
         if args.command == "analyze":
-            return cmd_analyze(cfg)
+            return cmd_analyze(_config_from(args))
         if args.command == "betti":
-            return cmd_betti(cfg)
-        return cmd_oracle_check(cfg, args.trials, args.seed, args.inject_corrupt)
+            return cmd_betti(_config_from(args))
+        return cmd_oracle_check(
+            args.trials, args.vertices, args.seed, args.inject_corrupt
+        )
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 1
     except CodedimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # --allow-large raises the library-wide cap for this run only.
-        set_ambient_cap(cap)
 
 
 if __name__ == "__main__":

@@ -14,29 +14,18 @@ from typing import Iterable, Iterator
 
 from .errors import GuardError, InputError, VoidComplexError
 
-# Ambient vertex cap.  Everything downstream of the subset sweep is
-# Theta(2^n * poly), so constructions above this limit are refused
-# outright instead of hanging.  Adjustable via set_ambient_cap().
-_AMBIENT_CAP = 24
-
-
-def ambient_cap() -> int:
-    return _AMBIENT_CAP
-
-
-def set_ambient_cap(limit: int) -> None:
-    """Raise or lower the hard cap on ambient vertex counts."""
-    global _AMBIENT_CAP
-    if limit < 1:
-        raise InputError(f"ambient cap must be positive, got {limit}")
-    _AMBIENT_CAP = limit
+# Fixed ambient vertex cap.  Face enumeration and the subset sweeps are
+# exponential in n, so constructions above this limit are refused
+# outright instead of hanging.  The subset sweeps have their own, lower
+# guard (betti.SWEEP_GUARD); minimal nonfaces, the Helly bound and plain
+# homology need no sweep and still run on 21..24 vertices.
+AMBIENT_CAP = 24
 
 
 def _check_ambient(n: int) -> None:
-    if not 1 <= n <= _AMBIENT_CAP:
+    if not 1 <= n <= AMBIENT_CAP:
         raise GuardError(
-            f"ambient vertex count n={n} outside the allowed range "
-            f"1..{_AMBIENT_CAP}; raise the cap explicitly if you mean it"
+            f"ambient vertex count n={n} outside the allowed range 1..{AMBIENT_CAP}"
         )
 
 
@@ -229,7 +218,7 @@ def _infer_ambient(texts: list[str]) -> int:
     if brace_max:
         return brace_max
     if not saw_any:
-        raise InputError("no codewords given and no n declared")
+        raise InputError("no vertex sets given and no n declared")
     raise InputError("cannot infer the ambient size; declare n")
 
 

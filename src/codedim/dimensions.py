@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .betti import BettiTable, ensure_within_sweep_guard, hochster_table
+from .betti import BettiTable, ensure_sweepable, hochster_table
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
 from .errors import ConsistencyError, InputError, VoidComplexError
 from .homology import (
@@ -89,9 +89,7 @@ def hom_dimension_betti(t: BettiTable) -> tuple[int, Witness | None]:
 
 
 def leray_dimension_direct(
-    d: SimplicialComplex,
-    field: PrimeField = PrimeField(2),
-    max_n: int | None = None,
+    d: SimplicialComplex, field: PrimeField = PrimeField(2)
 ) -> int:
     """Top degree carrying homology over all induced subcomplexes, plus one.
 
@@ -100,7 +98,7 @@ def leray_dimension_direct(
     """
     if d.is_void:
         raise VoidComplexError("the void complex has no dimension bounds")
-    ensure_within_sweep_guard(d, max_n)
+    ensure_sweepable(d)
     faces = sorted(d._face_bits())
     facet_bits = [f.bits for f in d.facets]
     best = -1
@@ -131,17 +129,15 @@ def hom_dimension_unreduced(
 
 
 def full_report(
-    d: SimplicialComplex,
-    field: PrimeField = PrimeField(2),
-    max_n: int | None = None,
+    d: SimplicialComplex, field: PrimeField = PrimeField(2)
 ) -> DimensionReport:
     """All dimension bounds with witnesses, cross-checked both ways."""
-    table = hochster_table(d, field, max_n)
+    table = hochster_table(d, field)
     leray, leray_wit = leray_dimension(table)
     helly, helly_wit = helly_dimension(table)
     hom_betti, hom_wit = hom_dimension_betti(table)
 
-    leray_direct = leray_dimension_direct(d, field, max_n)
+    leray_direct = leray_dimension_direct(d, field)
     helly_direct = helly_dimension_direct(d)
     hom_unreduced = hom_dimension_unreduced(d, field) if d.facets else 0
 

@@ -5,6 +5,14 @@ binary word ("1100") or a brace set ("{1,2}"), '#' starts a comment,
 and the first non-comment line may declare "n=<int>".  Without the
 declaration, n is inferred from the binary word length (all words must
 agree) or from the largest brace element.
+
+Empty inputs follow from what each format lists.  A code file lists
+every codeword, so "n=4" alone is the empty code: Delta(C) has no
+faces at all, the void complex, which the sweeps refuse (the CLI exits
+2).  A complex file lists the nonempty facets, so "n=4" alone is the
+irrelevant complex {0}, whose only face is the empty one (the CLI exits
+0).  A file that cannot be read, or is not UTF-8, raises InputError
+naming its path.
 """
 
 from __future__ import annotations
@@ -32,6 +40,17 @@ def _content_lines(text: str) -> tuple[int | None, list[str]]:
     return declared, lines
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def parse_vertex_sets(text: str) -> tuple[int, list[VertexSet]]:
     """Parse a file body into (n, vertex sets)."""
     declared, lines = _content_lines(text)
@@ -41,13 +60,13 @@ def parse_vertex_sets(text: str) -> tuple[int, list[VertexSet]]:
 
 def read_code(path: str | Path) -> Code:
     """A code file: one codeword per line."""
-    n, words = parse_vertex_sets(Path(path).read_text(encoding="utf-8"))
+    n, words = parse_vertex_sets(_read_text(path))
     return Code(n, frozenset(words))
 
 
 def read_complex(path: str | Path) -> SimplicialComplex:
     """A complex file: one facet per line (non-maximal lines are absorbed)."""
-    n, faces = parse_vertex_sets(Path(path).read_text(encoding="utf-8"))
+    n, faces = parse_vertex_sets(_read_text(path))
     if not faces:
         return SimplicialComplex.irrelevant(n)
     return SimplicialComplex.from_faces(n, faces)

@@ -47,7 +47,7 @@ def group_by_cardinality(face_bits: Iterable[int]) -> list[np.ndarray]:
     buckets: list[list[int]] = [[] for _ in range(max(b.bit_count() for b in bits) + 1)]
     for b in bits:
         buckets[b.bit_count()].append(b)
-    return [np.array(sorted(b), dtype=np.int64) for b in buckets]
+    return [np.array(b, dtype=np.int64) for b in buckets]
 
 
 def boundary_matrix(rows_bits: np.ndarray, cols_bits: np.ndarray) -> np.ndarray:

@@ -93,9 +93,8 @@ class TestHochsterTable:
             hochster_table(SimplicialComplex.void(3), GF2)
 
     def test_guard_refusal_mentions_subset_count(self):
-        d = full_simplex(8)
-        with pytest.raises(GuardError, match="256"):
-            hochster_table(d, GF2, max_n=7)
+        with pytest.raises(GuardError, match="2097152"):
+            hochster_table(full_simplex(21), GF2)
 
     def test_missing_vertices_appear_at_step_one(self):
         d = SimplicialComplex.from_faces(4, [0b0011])

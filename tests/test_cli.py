@@ -5,9 +5,6 @@ import sys
 import pytest
 
 from codedim.cli import main
-from codedim.complexes import ambient_cap
-from codedim.errors import GuardError
-from codedim.generators import full_simplex
 
 L26_FILE = """# the 14-word code on four neurons
 n=4
@@ -193,28 +190,17 @@ class TestErrorPaths:
 
     def test_guard_refusal(self, capsys):
         status, _, err = run(
-            capsys, "analyze", "--generator", "full-simplex", "--n", "10",
-            "--max-n", "8",
+            capsys, "analyze", "--generator", "full-simplex", "--n", "21"
         )
         assert status == 2
         assert "subsets" in err
 
-    def test_max_n_above_hard_guard_needs_acknowledgement(self, capsys):
-        status, _, err = run(
-            capsys, "analyze", "--generator", "square", "--max-n", "25"
-        )
-        assert status == 2
-        assert "--allow-large" in err
-
-    def test_allow_large_does_not_leak_the_ambient_cap(self, capsys):
-        status, _, _ = run(
-            capsys, "betti", "--generator", "square", "--max-n", "30",
-            "--allow-large",
-        )
-        assert status == 0
-        assert ambient_cap() == 24
-        with pytest.raises(GuardError):
-            full_simplex(25)
+    @pytest.mark.parametrize("command", ["analyze", "betti"])
+    def test_guard_has_no_option(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--generator", "square", "--max-n", "8"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_negative_random_size_exits_two(self, capsys):
         status, _, err = run(
@@ -236,23 +222,53 @@ class TestErrorPaths:
         status, _, err = run(capsys, "analyze", "--code-file", str(path))
         assert status == 2
 
-
-class TestEnvironmentGuard:
-    def test_env_var_sets_default_guard(self, monkeypatch):
-        from codedim.betti import sweep_guard
-
-        monkeypatch.setenv("CODEDIM_MAX_N", "9")
-        assert sweep_guard() == 9
-        monkeypatch.delenv("CODEDIM_MAX_N")
-        assert sweep_guard() == 20
-
-    def test_env_guard_blocks_analyze(self, capsys, monkeypatch):
-        monkeypatch.setenv("CODEDIM_MAX_N", "5")
-        status, _, err = run(
-            capsys, "analyze", "--generator", "octahedron"
-        )
+    def test_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        status, _, err = run(capsys, "analyze", "--code-file", str(path))
         assert status == 2
-        assert "subsets" in err
+        assert f"cannot read {path}" in err
+
+    def test_directory_as_file(self, capsys, tmp_path):
+        status, _, err = run(capsys, "betti", "--complex-file", str(tmp_path))
+        assert status == 2
+        assert f"cannot read {tmp_path}" in err
+
+    def test_invalid_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\xff\xfe")
+        status, _, err = run(capsys, "analyze", "--code-file", str(path))
+        assert status == 2
+        assert "not UTF-8" in err
+
+
+class TestEmptyInputs:
+    """A code file lists every codeword; a complex file the nonempty facets."""
+
+    def test_code_file_without_words_is_void(self, capsys, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_text("n=4\n", encoding="utf-8")
+        status, out, err = run(capsys, "analyze", "--code-file", str(path))
+        assert status == 2
+        assert "void" in err
+        assert out == ""
+
+    def test_complex_file_without_facets_is_irrelevant(self, capsys, tmp_path):
+        path = tmp_path / "complex.txt"
+        path.write_text("n=4\n", encoding="utf-8")
+        status, out, _ = run(
+            capsys, "betti", "--complex-file", str(path), "--format", "json"
+        )
+        assert status == 0
+        entries = json.loads(out)["entries"]
+        # {0}: every vertex is a minimal nonface
+        assert sum(e["i"] == 1 for e in entries) == 4
+
+    def test_file_without_vertex_sets_or_declaration(self, capsys, tmp_path):
+        path = tmp_path / "complex.txt"
+        path.write_text("# nothing\n", encoding="utf-8")
+        status, _, err = run(capsys, "analyze", "--complex-file", str(path))
+        assert status == 2
+        assert "no vertex sets" in err
 
 
 def test_console_script_entry_point():

@@ -21,7 +21,7 @@ from codedim.dimensions import (
     leray_dimension_direct,
     report_to_json,
 )
-from codedim.errors import ConsistencyError, InputError
+from codedim.errors import ConsistencyError, GuardError, InputError
 from codedim.generators import (
     cone_of_cross_polytope,
     cross_polytope,
@@ -63,6 +63,14 @@ class TestLerayDimension:
 
     def test_direct_single_vertex(self):
         assert leray_dimension_direct(full_simplex(1), GF2) == 0
+
+    def test_direct_route_refuses_before_enumerating(self, monkeypatch):
+        def enumerate_faces(self):
+            raise AssertionError("faces enumerated past the sweep guard")
+
+        monkeypatch.setattr(SimplicialComplex, "_face_bits", enumerate_faces)
+        with pytest.raises(GuardError, match="2097152"):
+            leray_dimension_direct(full_simplex(21), GF2)
 
     def test_witness_tie_break_prefers_small_step_then_pattern(self):
         # two disjoint hollow triangles: the maximum R=2 is achieved at
