@@ -17,6 +17,7 @@ from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
 from .errors import ConsistencyError, InputError, VoidComplexError
 from .homology import (
     PrimeField,
+    induced_restrictions,
     profile_of_face_bits,
     top_nonzero_degree,
     unreduced_homology,
@@ -99,14 +100,9 @@ def leray_dimension_direct(
     if d.is_void:
         raise VoidComplexError("the void complex has no dimension bounds")
     ensure_sweepable(d)
-    faces = sorted(d._face_bits())
-    facet_bits = [f.bits for f in d.facets]
     best = -1
-    for sigma in range(1 << d.n):
-        if any(sigma & ~f == 0 for f in facet_bits):
-            continue  # restriction is a full simplex, nothing to see
-        not_sigma = ~sigma
-        inside = [b for b in faces if b & not_sigma == 0]
+    # A subset inside a facet restricts to a full simplex: nothing to see.
+    for _, inside in induced_restrictions(d, skip_faces=True):
         profile = profile_of_face_bits(inside, field)
         top = top_nonzero_degree(profile, -1)
         if top > best:

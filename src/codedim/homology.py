@@ -10,17 +10,18 @@ missing vertices visible in the Betti table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .complexes import SimplicialComplex
 from .errors import GuardError
-from .linalg import PrimeField, rank_array
+from .linalg import PrimeField, rank_array, rank_gf2
 
-# Cap on the total cells of one complex's dense boundary matrices, 100 MB
-# as int8.  The full simplex on 11 vertices needs about 6.5e5 cells; the
-# hollow simplex on 20 vertices would need 1.3e11.
+# Cap on the total cells of one complex's boundary matrices, 100 MB as
+# dense int8; the packed GF(2) columns are held to the same cap.  The full
+# simplex on 11 vertices needs about 6.5e5 cells; the hollow simplex on
+# 20 vertices would need 1.3e11.
 MAX_BOUNDARY_CELLS = 10**8
 
 
@@ -39,15 +40,25 @@ class ReducedHomologyProfile:
         return not self.dims
 
 
-def group_by_cardinality(face_bits: Iterable[int]) -> list[np.ndarray]:
+def group_by_cardinality(face_bits: Iterable[int]) -> list[list[int]]:
     """Faces bucketed by cardinality, each bucket sorted by bit value."""
     bits = sorted(face_bits)
     if not bits:
         return []
-    buckets: list[list[int]] = [[] for _ in range(max(b.bit_count() for b in bits) + 1)]
+    buckets: list[list[int]] = [[] for _ in range(max(map(int.bit_count, bits)) + 1)]
     for b in bits:
         buckets[b.bit_count()].append(b)
-    return [np.array(b, dtype=np.int64) for b in buckets]
+    return buckets
+
+
+def ensure_boundary_cells(by_card: Sequence[Sequence[int]]) -> None:
+    """Refuse, before anything is built, boundary maps above MAX_BOUNDARY_CELLS."""
+    cells = sum(len(by_card[c - 1]) * len(by_card[c]) for c in range(1, len(by_card)))
+    if cells > MAX_BOUNDARY_CELLS:
+        raise GuardError(
+            f"boundary matrices over {sum(map(len, by_card))} faces need "
+            f"{cells} cells, above the cap of {MAX_BOUNDARY_CELLS}"
+        )
 
 
 def boundary_matrix(rows_bits: np.ndarray, cols_bits: np.ndarray) -> np.ndarray:
@@ -72,6 +83,21 @@ def boundary_matrix(rows_bits: np.ndarray, cols_bits: np.ndarray) -> np.ndarray:
     return mat
 
 
+def packed_boundary_columns(rows_bits: list[int], cols_bits: list[int]) -> list[int]:
+    """The boundary map over GF(2), one int per column with a bit per row face."""
+    row_bit = {b: 1 << i for i, b in enumerate(rows_bits)}
+    columns = []
+    for b in cols_bits:
+        col = 0
+        remaining = b
+        while remaining:
+            low = remaining & -remaining
+            col |= row_bit[b ^ low]
+            remaining ^= low
+        columns.append(col)
+    return columns
+
+
 def chain_data(face_bits: Iterable[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Faces by cardinality plus all boundary matrices.
 
@@ -79,13 +105,8 @@ def chain_data(face_bits: Iterable[int]) -> tuple[list[np.ndarray], list[np.ndar
     chains; index 0 is a placeholder empty map.  Raises GuardError before
     allocating anything when the matrices would exceed MAX_BOUNDARY_CELLS.
     """
-    by_card = group_by_cardinality(face_bits)
-    cells = sum(len(by_card[c - 1]) * len(by_card[c]) for c in range(1, len(by_card)))
-    if cells > MAX_BOUNDARY_CELLS:
-        raise GuardError(
-            f"boundary matrices over {sum(map(len, by_card))} faces need "
-            f"{cells} cells, above the cap of {MAX_BOUNDARY_CELLS}"
-        )
+    by_card = [np.array(b, dtype=np.int64) for b in group_by_cardinality(face_bits)]
+    ensure_boundary_cells(by_card)
     boundaries: list[np.ndarray] = [np.zeros((0, 0), dtype=np.int8)]
     for c in range(1, len(by_card)):
         boundaries.append(boundary_matrix(by_card[c - 1], by_card[c]))
@@ -109,13 +130,44 @@ def profile_from_counts_and_ranks(
 def profile_of_face_bits(
     face_bits: Iterable[int], field: PrimeField
 ) -> ReducedHomologyProfile:
-    """Reduced homology of the complex whose faces are exactly face_bits."""
-    by_card, boundaries = chain_data(face_bits)
+    """Reduced homology of the complex whose faces are exactly face_bits.
+
+    Over GF(2) the boundary columns are packed straight from the face
+    bitmasks and no matrix is built; other fields rank chain_data's
+    matrices.
+    """
+    if field.p == 2:
+        by_card = group_by_cardinality(face_bits)
+        ensure_boundary_cells(by_card)
+        ranks = [0] + [
+            rank_gf2(packed_boundary_columns(by_card[c - 1], by_card[c]))
+            for c in range(1, len(by_card))
+        ]
+    else:
+        by_card, boundaries = chain_data(face_bits)
+        ranks = [0] + [rank_array(boundaries[c], field.p) for c in range(1, len(by_card))]
     if not by_card:
         return ReducedHomologyProfile({}, field)
-    counts = [len(arr) for arr in by_card]
-    ranks = [0] + [rank_array(boundaries[c], field.p) for c in range(1, len(by_card))]
-    return profile_from_counts_and_ranks(counts, ranks, field)
+    return profile_from_counts_and_ranks([len(b) for b in by_card], ranks, field)
+
+
+def induced_restrictions(
+    d: SimplicialComplex, skip_faces: bool = False
+) -> Iterator[tuple[int, list[int]]]:
+    """(sigma, faces of d inside sigma) for every vertex subset sigma.
+
+    Each restriction is selected afresh from d's whole face list, so the
+    checks built on it share nothing with the table route.  With
+    skip_faces, subsets lying inside a facet (whose restriction is a
+    full simplex) are left out.
+    """
+    faces = sorted(d._face_bits())
+    facet_bits = [f.bits for f in d.facets] if skip_faces else []
+    for sigma in range(1 << d.n):
+        if any(sigma & ~f == 0 for f in facet_bits):
+            continue
+        not_sigma = ~sigma
+        yield sigma, [b for b in faces if b & not_sigma == 0]
 
 
 def reduced_homology(

@@ -25,7 +25,7 @@ from .dimensions import (
 )
 from .errors import GuardError, InputError
 from .generators import random_complex
-from .homology import PrimeField, profile_of_face_bits
+from .homology import PrimeField, induced_restrictions, profile_of_face_bits
 
 CHECK_NAMES = (
     "bound-ordering",
@@ -53,10 +53,7 @@ class OracleSummary:
 
 def _euler_mismatch(d: SimplicialComplex, field: PrimeField) -> int | None:
     """First subset where homology and face counts disagree, else None."""
-    faces = sorted(d._face_bits())
-    for sigma in range(1 << d.n):
-        not_sigma = ~sigma
-        inside = [b for b in faces if b & not_sigma == 0]
+    for sigma, inside in induced_restrictions(d):
         profile = profile_of_face_bits(inside, field)
         homological = sum((1 - 2 * (k % 2)) * v for k, v in profile.dims.items())
         combinatorial = sum(1 - 2 * ((b.bit_count() - 1) % 2) for b in inside if b) - 1

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 import codedim.dimensions as dimensions_module
-from codedim.betti import hochster_table
+from codedim.betti import hochster_table, table_to_json
 from codedim.complexes import (
     SimplicialComplex,
     VertexSet,
@@ -23,6 +24,7 @@ from codedim.dimensions import (
 )
 from codedim.errors import ConsistencyError, GuardError, InputError
 from codedim.generators import (
+    complete_bipartite_clique,
     cone_of_cross_polytope,
     cross_polytope,
     full_simplex,
@@ -37,6 +39,39 @@ GF2 = PrimeField(2)
 
 def table(d, p=2):
     return hochster_table(d, PrimeField(p))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of table_to_json and report_to_json over GF(2), recorded with the
+# dense numpy elimination, before GF(2) ranks moved to the packed kernel.
+GF2_PINS = {
+    "K_4,4": (
+        complete_bipartite_clique,
+        "a6d32ce6adbc2943d2433a31eb1b4ba296ffff06c67c5e165c0bab51c1132948",
+        "815e4985227438aa5e7c9938d728295c47133250463edac21c4b4b39d7f90c90",
+    ),
+    "cone_4": (
+        cone_of_cross_polytope,
+        "b3934f928a75b5a52f83e2f3bd4488069734663c134d6fe3d4adca4975f214c8",
+        "438c47cdbaa498d610c8f408b79103fb9739f7921b68b3f78bb0d9ec43dfe055",
+    ),
+    "cross_5": (
+        cross_polytope,
+        "63790583994d46d78d9d5d2b8a4144a7961afe75eb585d99690c24b7bb047b68",
+        "ebef370171b9bc2c39a9d7115b528f4f39a8d12fdfff1e12a303982efe741bfa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GF2_PINS))
+def test_gf2_outputs_match_pins(name):
+    make, table_sha, report_sha = GF2_PINS[name]
+    d = make(int(name[-1]))
+    assert sha256(table_to_json(hochster_table(d, GF2))) == table_sha
+    assert sha256(report_to_json(full_report(d, GF2))) == report_sha
 
 
 class TestLerayDimension:

@@ -5,6 +5,7 @@ from codedim.betti import hochster_table
 from codedim.complexes import SimplicialComplex, VertexSet, restrict
 from codedim.errors import GuardError
 from codedim.generators import (
+    complete_bipartite_clique,
     cone,
     cone_of_cross_polytope,
     cross_polytope,
@@ -14,12 +15,26 @@ from codedim.generators import (
 )
 from codedim.homology import (
     PrimeField,
+    chain_data,
+    induced_restrictions,
+    profile_from_counts_and_ranks,
+    profile_of_face_bits,
     reduced_homology,
     top_nonzero_degree,
     unreduced_homology,
 )
+from codedim.oracle import _DENSITIES
+
+from test_linalg import sympy_rank
 
 GF2 = PrimeField(2)
+
+
+def sympy_profile_gf2(face_bits):
+    """Profile from chain_data's dense matrices, ranked by sympy over GF(2)."""
+    by_card, boundaries = chain_data(face_bits)
+    ranks = [0] + [sympy_rank(boundaries[c], 2) for c in range(1, len(by_card))]
+    return profile_from_counts_and_ranks([len(b) for b in by_card], ranks, GF2)
 
 
 class TestReducedHomology:
@@ -57,16 +72,55 @@ class TestReducedHomology:
 
     def test_boundary_memory_guard_runs_before_allocation(self, monkeypatch):
         # C(18,9) x C(18,10) alone is 2.1e9 cells; the guard must refuse on
-        # both routes without building a single matrix.
+        # both routes without building a single matrix or packed column.
         def refuse(*_):
             raise AssertionError("boundary matrix built past the memory guard")
 
         monkeypatch.setattr(homology, "boundary_matrix", refuse)
+        monkeypatch.setattr(homology, "packed_boundary_columns", refuse)
         d = hollow_simplex(18)
         with pytest.raises(GuardError, match="cells"):
             hochster_table(d, GF2)
         with pytest.raises(GuardError, match="cells"):
             reduced_homology(d, GF2)
+
+
+class TestPackedProfile:
+    @pytest.mark.parametrize(
+        "d",
+        [complete_bipartite_clique(4), cone_of_cross_polytope(4), cross_polytope(5)],
+        ids=["K_4,4", "cone_4", "cross_5"],
+    )
+    def test_fixtures_match_sympy_reference(self, d):
+        faces = d._face_bits()
+        assert profile_of_face_bits(faces, GF2) == sympy_profile_gf2(faces)
+
+    def test_oracle_seeds_match_sympy_reference(self):
+        for seed in range(30):
+            n = 5 + seed % 3
+            d = random_complex(n, _DENSITIES[seed % len(_DENSITIES)], seed)
+            # the whole complex and a spread of its restrictions
+            for sigma, inside in induced_restrictions(d):
+                if sigma == (1 << n) - 1 or sigma % 11 == 0:
+                    assert profile_of_face_bits(inside, GF2) == sympy_profile_gf2(
+                        inside
+                    ), (seed, sigma)
+
+
+class TestInducedRestrictions:
+    def test_every_subset_with_exactly_its_faces(self):
+        d = random_complex(5, 0.5, 3)
+        faces = d._face_bits()
+        seen = list(induced_restrictions(d))
+        assert [sigma for sigma, _ in seen] == list(range(1 << 5))
+        for sigma, inside in seen:
+            assert inside == sorted(b for b in faces if b & ~sigma == 0)
+
+    def test_skip_faces_leaves_out_subsets_inside_a_facet(self):
+        d = cross_polytope(1)  # the square: facets 1010, 1001, 0110, 0101
+        kept = {sigma for sigma, _ in induced_restrictions(d, skip_faces=True)}
+        faces = d._face_bits()
+        assert kept == set(range(1 << 4)) - faces
 
 
 class TestUnreducedHomology:

@@ -6,7 +6,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from codedim.errors import InputError
-from codedim.linalg import PrimeField, rank_array
+from codedim.linalg import PrimeField, rank_array, rank_gf2
 
 
 def sympy_rank(a: np.ndarray, p: int) -> int:
@@ -15,6 +15,14 @@ def sympy_rank(a: np.ndarray, p: int) -> int:
     rows, cols = a.shape
     m = DomainMatrix([[dom(int(x)) for x in row] for row in a], (rows, cols), dom)
     return m.rank()
+
+
+def column_ints(a: np.ndarray) -> list[int]:
+    """Each column as an int with bit i set when row i is odd."""
+    return [
+        sum(1 << i for i in range(a.shape[0]) if a[i, j] % 2)
+        for j in range(a.shape[1])
+    ]
 
 
 class TestPrimeField:
@@ -76,7 +84,52 @@ class TestRankExamples:
         assert kernel(arr, 131) == kernel(arr.astype(np.int64), 131) == 2
 
 
+class TestRankGF2:
+    def test_no_columns(self):
+        assert rank_gf2([]) == 0
+
+    def test_zero_columns(self):
+        assert rank_gf2([0, 0, 0]) == 0
+
+    def test_repeated_and_summed_columns(self):
+        # the third column is the XOR of the first two
+        assert rank_gf2([0b011, 0b110, 0b101, 0b011]) == 2
+
+    def test_columns_wider_than_a_machine_word(self):
+        cols = [1 << 100, (1 << 100) | 1, 1, (1 << 200) | (1 << 64)]
+        assert rank_gf2(cols) == 3
+
+
 class TestRankProperties:
+    # Shapes from 1 to 70 cross the byte and the 64-bit word boundaries
+    # of np.packbits in both directions.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 70),
+        cols=st.integers(1, 70),
+        density=st.sampled_from([0.05, 0.3, 0.5, 0.9]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_packed_gf2_matches_sympy(self, rows, cols, density, seed):
+        rng = np.random.default_rng(seed)
+        a = (rng.random((rows, cols)) < density).astype(np.int64)
+        expected = sympy_rank(a, 2)
+        assert rank_gf2(column_ints(a)) == expected
+        assert rank_array(a, 2) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 70),
+        cols=st.integers(1, 70),
+        seed=st.integers(0, 2**31),
+    )
+    def test_signed_int8_at_two_matches_sympy(self, rows, cols, seed):
+        # boundary matrices carry -1 entries, which are 1 mod 2
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-1, 2, size=(rows, cols), dtype=np.int8)
+        assert rank_array(a, 2) == sympy_rank(a, 2)
+
+
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.integers(1, 6),
