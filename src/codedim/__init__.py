@@ -54,6 +54,7 @@ from .generators import (
     full_simplex,
     hollow_simplex,
     code_l26,
+    projective_plane,
     random_complex,
 )
 from .homology import (
@@ -102,6 +103,7 @@ __all__ = [
     "level_ranks",
     "minimal_nonfaces",
     "code_l26",
+    "projective_plane",
     "r_values",
     "random_complex",
     "reduced_homology",

@@ -39,6 +39,7 @@ _GENERATORS = {
     "hollow-simplex": ("m", lambda a: generators.hollow_simplex(int(a))),
     "full-simplex": ("n", lambda a: generators.full_simplex(int(a))),
     "l26": (None, lambda _: complex_of_code(generators.code_l26())),
+    "projective-plane": (None, lambda _: generators.projective_plane()),
 }
 
 

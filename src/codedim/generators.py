@@ -1,9 +1,10 @@
 """Constructors for the recurring example families.
 
 The cross-polytopes, their cones, complete bipartite clique complexes,
-and hollow simplices are the fixtures every golden test is written
-against; the vertex numbering below is pinned so that gradings come out
-as exact bit patterns (pairs (1,2), (3,4), ... and the cone point last).
+hollow simplices and the projective plane are the fixtures every golden
+test is written against; the vertex numbering below is pinned so that
+gradings come out as exact bit patterns (pairs (1,2), (3,4), ... and the
+cone point last).
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ import random
 from .complexes import Code, SimplicialComplex, VertexSet, _check_ambient, clique_complex
 from .errors import InputError
 
+# The six-vertex real projective plane, the antipodal quotient of the
+# icosahedron: its H_1 is Z/2.
+_RP2_TRIANGLES = (
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+)
 _L26_WORDS = (
     "0000", "1000", "0100", "0010", "0001", "1100", "1010",
     "1001", "0110", "0101", "0011", "1110", "1011", "0111",
@@ -78,6 +85,18 @@ def hollow_simplex(m: int) -> SimplicialComplex:
 
 def full_simplex(n: int) -> SimplicialComplex:
     return SimplicialComplex.full_simplex(n)
+
+
+def projective_plane() -> SimplicialComplex:
+    """RP^2 on 6 vertices and 10 triangles.
+
+    Its reduced homology is GF(2) in degrees 1 and 2 and zero over every
+    odd prime, so its Leray dimension depends on the field: 3 over GF(2)
+    and 2 over GF(3).
+    """
+    return SimplicialComplex.from_faces(
+        6, (VertexSet.of(t, 6).bits for t in _RP2_TRIANGLES)
+    )
 
 
 def code_l26() -> Code:

@@ -98,6 +98,22 @@ def packed_boundary_columns(rows_bits: list[int], cols_bits: list[int]) -> list[
     return columns
 
 
+def packed_chain(face_bits: Iterable[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Faces by cardinality plus every boundary map packed over GF(2).
+
+    ``columns[c][j]`` is the boundary of face ``by_card[c][j]``, with bit
+    i set for row face ``by_card[c - 1][i]``; index 0 is an empty
+    placeholder.  Raises GuardError before packing anything when the maps
+    would exceed MAX_BOUNDARY_CELLS.
+    """
+    by_card = group_by_cardinality(face_bits)
+    ensure_boundary_cells(by_card)
+    columns: list[list[int]] = [[]]
+    for c in range(1, len(by_card)):
+        columns.append(packed_boundary_columns(by_card[c - 1], by_card[c]))
+    return by_card, columns
+
+
 def chain_data(face_bits: Iterable[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Faces by cardinality plus all boundary matrices.
 
@@ -137,12 +153,8 @@ def profile_of_face_bits(
     matrices.
     """
     if field.p == 2:
-        by_card = group_by_cardinality(face_bits)
-        ensure_boundary_cells(by_card)
-        ranks = [0] + [
-            rank_gf2(packed_boundary_columns(by_card[c - 1], by_card[c]))
-            for c in range(1, len(by_card))
-        ]
+        by_card, columns = packed_chain(face_bits)
+        ranks = [0] + [rank_gf2(cols) for cols in columns[1:]]
     else:
         by_card, boundaries = chain_data(face_bits)
         ranks = [0] + [rank_array(boundaries[c], field.p) for c in range(1, len(by_card))]
@@ -151,21 +163,28 @@ def profile_of_face_bits(
     return profile_from_counts_and_ranks([len(b) for b in by_card], ranks, field)
 
 
+def restriction_subsets(d: SimplicialComplex, skip_faces: bool = False) -> Iterator[int]:
+    """Every vertex subset sigma of d, as a bitmask, in increasing order.
+
+    With skip_faces, subsets lying inside a facet (whose restriction is a
+    full simplex) are left out.
+    """
+    facet_bits = [f.bits for f in d.facets] if skip_faces else []
+    for sigma in range(1 << d.n):
+        if not any(sigma & ~f == 0 for f in facet_bits):
+            yield sigma
+
+
 def induced_restrictions(
     d: SimplicialComplex, skip_faces: bool = False
 ) -> Iterator[tuple[int, list[int]]]:
-    """(sigma, faces of d inside sigma) for every vertex subset sigma.
+    """(sigma, faces of d inside sigma) for each of restriction_subsets.
 
     Each restriction is selected afresh from d's whole face list, so the
-    checks built on it share nothing with the table route.  With
-    skip_faces, subsets lying inside a facet (whose restriction is a
-    full simplex) are left out.
+    checks built on it share nothing with the table route.
     """
     faces = sorted(d._face_bits())
-    facet_bits = [f.bits for f in d.facets] if skip_faces else []
-    for sigma in range(1 << d.n):
-        if any(sigma & ~f == 0 for f in facet_bits):
-            continue
+    for sigma in restriction_subsets(d, skip_faces):
         not_sigma = ~sigma
         yield sigma, [b for b in faces if b & not_sigma == 0]
 

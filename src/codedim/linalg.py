@@ -3,9 +3,12 @@
 Every Betti number the package reports is a difference of boundary-map
 ranks, computed by one of two kernels, one per kind of field:
 
-* GF(2): `rank_gf2`, an XOR basis over bit-packed columns (the
+* GF(2): `reduce_gf2`, an XOR basis over bit-packed columns (the
   word-packed elimination of M4RI, Albrecht-Bard, with Python ints as
   the words).  Each column is an int whose set bits are its nonzero rows.
+  It returns the pivot rows, so a caller reducing a chain complex from
+  the top down can clear the columns that those rows name;
+  `rank_gf2` counts them.
 * odd p: a numpy Gaussian elimination that vectorises the row operations
   of each pivot.  Elimination is fraction-free (cross-multiplication
   instead of pivot inversion), so entries stay below p^2 < 2^32 and
@@ -17,7 +20,7 @@ ranks, computed by one of two kernels, one per kind of field:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable, KeysView, Sequence
 
 import numpy as np
 
@@ -51,22 +54,40 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-def rank_gf2(columns: Iterable[int]) -> int:
-    """Rank over GF(2) of columns given as ints whose set bits are their rows.
+def reduce_gf2(
+    columns: Sequence[int],
+    select: Iterable[int] | None = None,
+    cleared: Container[int] = (),
+) -> KeysView[int]:
+    """Pivot rows of the GF(2) reduction of columns[j] for j in select.
 
-    Each column is reduced against a basis keyed by leading bit until it
-    either vanishes or brings a new leading bit.
+    Each column is an int whose set bits are its rows.  It is reduced
+    against a basis keyed by pivot row (its highest set bit) until it
+    either vanishes or brings a new pivot row; select defaults to every
+    column.  A column j in cleared is skipped unreduced.  This is the
+    clearing of Chen and Kerber ("Persistent homology computation with a
+    twist", 2011): if the next map up, reduced over the same faces, has a
+    pivot in row j, its reduced column is a cycle e_j + (lower faces), so
+    column j here is a sum of lower-indexed columns and adds no rank.
     """
     pivots: dict[int, int] = {}
-    for col in columns:
+    for j in range(len(columns)) if select is None else select:
+        if j in cleared:
+            continue
+        col = columns[j]
         while col:
-            lead = col.bit_length()
+            lead = col.bit_length() - 1
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = col
                 break
             col ^= pivot
-    return len(pivots)
+    return pivots.keys()
+
+
+def rank_gf2(columns: Sequence[int]) -> int:
+    """Rank over GF(2) of columns given as ints whose set bits are their rows."""
+    return len(reduce_gf2(columns))
 
 
 def rank_array(a: np.ndarray, p: int) -> int:
@@ -81,8 +102,10 @@ def rank_array(a: np.ndarray, p: int) -> int:
         width = (n_rows + 7) // 8
         packed = np.packbits(a & 1, axis=0).T.tobytes()
         return rank_gf2(
-            int.from_bytes(packed[j : j + width], "big")
-            for j in range(0, n_cols * width, width)
+            [
+                int.from_bytes(packed[j : j + width], "big")
+                for j in range(0, n_cols * width, width)
+            ]
         )
     a = np.remainder(a, p, dtype=np.int64)
     r = 0

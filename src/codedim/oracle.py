@@ -3,8 +3,10 @@
 Every trial builds a seeded random complex and verifies, among other
 things, that the bound ordering holds, that step-1 gradings are exactly
 the minimal nonfaces, that the Euler characteristic identity holds on
-every induced subcomplex, and that table-driven and direct dimension
-values agree at several primes.  A deliberately corrupted table (via
+every induced subcomplex, and that table-driven and direct values agree:
+the Helly bound at GF(2), GF(3) and GF(5), the Leray bound at GF(2).
+The Euler check tests the face counts and the profile formula; it cannot
+catch a wrong rank, because in sum (-1)^k dim H~_k the rank terms cancel.  A deliberately corrupted table (via
 `table_mutator`) must make the suite fail; that hook keeps the failure
 path honest.
 """

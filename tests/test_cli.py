@@ -96,6 +96,16 @@ class TestAnalyze:
         assert status == 0
         assert json.loads(out)["leray"] == 2
 
+    @pytest.mark.parametrize("field,expected", [("2", (3, 2, 3)), ("3", (2, 2, 0))])
+    def test_projective_plane_depends_on_the_field(self, capsys, field, expected):
+        status, out, _ = run(
+            capsys, "analyze", "--generator", "projective-plane",
+            "--field", field, "--format", "json",
+        )
+        assert status == 0
+        parsed = json.loads(out)
+        assert (parsed["leray"], parsed["helly"], parsed["homological_betti"]) == expected
+
     def test_random_generator_is_reachable_and_deterministic(self, capsys):
         argv = (
             "analyze", "--generator", "random", "--n", "6",

@@ -28,11 +28,20 @@ from codedim.generators import (
     cone_of_cross_polytope,
     cross_polytope,
     full_simplex,
+    cone,
     hollow_simplex,
     code_l26,
+    projective_plane,
     random_complex,
 )
+from codedim.homology import (
+    induced_restrictions,
+    profile_of_face_bits,
+    reduced_homology,
+    top_nonzero_degree,
+)
 from codedim.linalg import PrimeField
+from codedim.oracle import _DENSITIES
 
 GF2 = PrimeField(2)
 
@@ -72,6 +81,135 @@ def test_gf2_outputs_match_pins(name):
     d = make(int(name[-1]))
     assert sha256(table_to_json(hochster_table(d, GF2))) == table_sha
     assert sha256(report_to_json(full_report(d, GF2))) == report_sha
+
+
+# The same digests over GF(3) and GF(5), recorded with the dense numpy
+# elimination before the direct GF(2) route moved to columns packed once.
+ODD_PINS = {
+    ("K_4,4", 3): (
+        "ef6a4d5f8deeba964ebfa1def54f35e61901162d636ecbfce7e12cfc9dfa0596",
+        "1fb3c212e6ab9387a170995767543c0f4e88ea677109920c4c7be8492890c63c",
+    ),
+    ("cone_4", 3): (
+        "9e415976a5077f7c3daa4486db0f71348836ed306a0b2565a7ff770ffa0d73db",
+        "5c0b8e1486a5a0b4a2173720bed9604893ed972487e8542b3627cdb602572fca",
+    ),
+    ("cross_5", 3): (
+        "8ed2171795a74f5b7b58aad330b362df07f874889b53f1d87a576fb0c7676c45",
+        "66aba47531760ff587ad4d333c3e495ee0e64689565b102f46b0dc85cc45d14c",
+    ),
+    ("K_4,4", 5): (
+        "a2408b419b95effd0e6b93f6fb15e8a77b54724769ed941dd83234c4180a126c",
+        "7b87492dc2ecb1a94eade92811d92ce02d7c8aa3a530c1b7a471088d1b5e0e69",
+    ),
+    ("cone_4", 5): (
+        "26bd0923f20f204ac182002e4b42d6ab7631a7efc1090f6e9dcf127ef78c6111",
+        "408fde9d42c09bde2336a398f92b5a78d3f2ec15bceedd0b6ebe9488551faba0",
+    ),
+    ("cross_5", 5): (
+        "5c7e376c19124fba87c689946bfb91c159426244fd7c0f8457d008ca12055750",
+        "ecef7780f5e86403ee1d5de0334660aa7c0d66882f990fede10982e8fd073a21",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name,p", list(ODD_PINS), ids=[f"{name}-GF{p}" for name, p in ODD_PINS]
+)
+def test_odd_p_outputs_match_pins(name, p):
+    make = GF2_PINS[name][0]
+    table_sha, report_sha = ODD_PINS[(name, p)]
+    d = make(int(name[-1]))
+    field = PrimeField(p)
+    assert sha256(table_to_json(hochster_table(d, field))) == table_sha
+    assert sha256(report_to_json(full_report(d, field))) == report_sha
+
+
+def suspension(d):
+    """Join d with two fresh apexes, numbered n+1 and n+2."""
+    apexes = (1 << d.n, 1 << (d.n + 1))
+    return SimplicialComplex.from_faces(
+        d.n + 2, (f.bits | a for f in d.facets for a in apexes)
+    )
+
+
+def leray_per_restriction(d, field):
+    """The direct Leray value with every restriction's profile built afresh."""
+    best = -1
+    for _, inside in induced_restrictions(d):
+        best = max(best, top_nonzero_degree(profile_of_face_bits(inside, field), -1))
+    return best + 1 if best >= 0 else 0
+
+
+class TestProjectivePlane:
+    @pytest.mark.parametrize(
+        "p,expected", [(2, (3, 2, 3)), (3, (2, 2, 0)), (5, (2, 2, 0))]
+    )
+    def test_full_report(self, p, expected):
+        assert full_report(projective_plane(), PrimeField(p)).as_tuple() == expected
+
+    @pytest.mark.parametrize("p,dims", [(2, {1: 1, 2: 1}), (3, {}), (5, {})])
+    def test_reduced_homology(self, p, dims):
+        assert reduced_homology(projective_plane(), PrimeField(p)).dims == dims
+
+
+class TestFieldDependence:
+    # 2-torsion in H_1 of RP^2 shows over GF(2) and vanishes over GF(3);
+    # the cone keeps RP^2 as an induced subcomplex and the suspension
+    # lifts its homology one degree.
+    @pytest.mark.parametrize(
+        "make,gf2,gf3",
+        [
+            (projective_plane, 3, 2),
+            (lambda: cone(projective_plane()), 3, 2),
+            (lambda: suspension(projective_plane()), 4, 3),
+        ],
+        ids=["RP2", "cone", "suspension"],
+    )
+    def test_field_changes_the_leray_dimension(self, make, gf2, gf3):
+        d = make()
+        for p, expected in ((2, gf2), (3, gf3)):
+            assert leray_dimension(table(d, p))[0] == expected
+            assert leray_dimension_direct(d, PrimeField(p)) == expected
+
+
+class TestDirectRouteGF2:
+    """Columns packed once and cleared against the per-restriction route."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            complete_bipartite_clique(4),
+            cone_of_cross_polytope(4),
+            cross_polytope(5),
+            hollow_simplex(6),
+            full_simplex(4),
+            complex_of_code(code_l26()),
+            SimplicialComplex.irrelevant(3),
+            projective_plane(),
+            cone(projective_plane()),
+            suspension(projective_plane()),
+        ],
+        ids=[
+            "K_4,4", "cone_4", "cross_5", "hollow_6", "full_4", "l26",
+            "irrelevant", "RP2", "cone_RP2", "suspension_RP2",
+        ],
+    )
+    def test_fixtures(self, d):
+        assert leray_dimension_direct(d, GF2) == leray_per_restriction(d, GF2)
+
+    def test_full_simplex_is_not_packed(self):
+        # every restriction lies inside the one facet, so nothing is built;
+        # packing this complex would need 5.7e8 cells, above the cap
+        assert leray_dimension_direct(full_simplex(16), GF2) == 0
+
+    def test_oracle_seeds(self):
+        for seed in range(160):
+            n = 5 + seed % 4
+            d = random_complex(n, _DENSITIES[seed % len(_DENSITIES)], seed)
+            assert leray_dimension_direct(d, GF2) == leray_per_restriction(
+                d, GF2
+            ), seed
 
 
 class TestLerayDimension:

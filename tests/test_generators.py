@@ -16,6 +16,7 @@ from codedim.generators import (
     full_simplex,
     hollow_simplex,
     code_l26,
+    projective_plane,
     random_complex,
 )
 
@@ -117,6 +118,19 @@ class TestHollowSimplex:
     def test_too_small_rejected(self):
         with pytest.raises(InputError):
             hollow_simplex(1)
+
+
+class TestProjectivePlane:
+    def test_six_vertices_and_ten_triangles(self):
+        d = projective_plane()
+        assert d.n == 6
+        assert face_count_by_dimension(d) == [1, 6, 15, 10]
+        assert all(len(f) == 3 for f in d.facets)
+
+    def test_every_edge_lies_on_two_triangles(self):
+        d = projective_plane()
+        for edge in (f for f in d.faces() if len(f) == 2):
+            assert sum(edge <= t for t in d.facets) == 2
 
 
 class TestCodeL26:

@@ -11,18 +11,22 @@ from codedim.generators import (
     cross_polytope,
     full_simplex,
     hollow_simplex,
+    projective_plane,
     random_complex,
 )
+from codedim.dimensions import leray_dimension_direct
 from codedim.homology import (
     PrimeField,
     chain_data,
     induced_restrictions,
+    packed_chain,
     profile_from_counts_and_ranks,
     profile_of_face_bits,
     reduced_homology,
     top_nonzero_degree,
     unreduced_homology,
 )
+from codedim.linalg import reduce_gf2
 from codedim.oracle import _DENSITIES
 
 from test_linalg import sympy_rank
@@ -72,7 +76,7 @@ class TestReducedHomology:
 
     def test_boundary_memory_guard_runs_before_allocation(self, monkeypatch):
         # C(18,9) x C(18,10) alone is 2.1e9 cells; the guard must refuse on
-        # both routes without building a single matrix or packed column.
+        # every route without building a single matrix or packed column.
         def refuse(*_):
             raise AssertionError("boundary matrix built past the memory guard")
 
@@ -83,6 +87,8 @@ class TestReducedHomology:
             hochster_table(d, GF2)
         with pytest.raises(GuardError, match="cells"):
             reduced_homology(d, GF2)
+        with pytest.raises(GuardError, match="cells"):
+            leray_dimension_direct(d, GF2)
 
 
 class TestPackedProfile:
@@ -105,6 +111,44 @@ class TestPackedProfile:
                     assert profile_of_face_bits(inside, GF2) == sympy_profile_gf2(
                         inside
                     ), (seed, sigma)
+
+
+def cleared_profile(by_card, columns, sigma):
+    """Profile of the restriction to sigma from columns packed once, cleared top down."""
+    ranks = [0] * len(by_card)
+    above = ()
+    for c in range(len(by_card) - 1, 0, -1):
+        inside = [j for j, b in enumerate(by_card[c]) if b & ~sigma == 0]
+        above = reduce_gf2(columns[c], inside, above)
+        ranks[c] = len(above)
+    counts = [sum(1 for b in bucket if b & ~sigma == 0) for bucket in by_card]
+    return profile_from_counts_and_ranks(counts, ranks, GF2)
+
+
+class TestPackedChain:
+    def test_every_restriction_and_degree_matches_fresh_packing(self):
+        for seed in range(30):
+            n = 5 + seed % 3
+            d = random_complex(n, _DENSITIES[seed % len(_DENSITIES)], seed)
+            by_card, columns = packed_chain(d._face_bits())
+            for sigma, inside in induced_restrictions(d):
+                assert cleared_profile(by_card, columns, sigma) == profile_of_face_bits(
+                    inside, GF2
+                ), (seed, sigma)
+
+    # A clearing key shifted by one row skips a column that still adds
+    # rank in only a few restrictions; these complexes have some.
+    @pytest.mark.parametrize(
+        "d",
+        [projective_plane(), random_complex(9, 0.3, 1), random_complex(10, 0.3, 3)],
+        ids=["RP2", "random_9", "random_10"],
+    )
+    def test_larger_complexes(self, d):
+        by_card, columns = packed_chain(d._face_bits())
+        for sigma, inside in induced_restrictions(d):
+            assert cleared_profile(by_card, columns, sigma) == profile_of_face_bits(
+                inside, GF2
+            ), sigma
 
 
 class TestInducedRestrictions:

@@ -6,7 +6,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from codedim.errors import InputError
-from codedim.linalg import PrimeField, rank_array, rank_gf2
+from codedim.linalg import PrimeField, rank_array, rank_gf2, reduce_gf2
 
 
 def sympy_rank(a: np.ndarray, p: int) -> int:
@@ -98,6 +98,15 @@ class TestRankGF2:
     def test_columns_wider_than_a_machine_word(self):
         cols = [1 << 100, (1 << 100) | 1, 1, (1 << 200) | (1 << 64)]
         assert rank_gf2(cols) == 3
+
+    def test_pivot_rows_are_the_highest_bits_after_reduction(self):
+        # 0b110 reduces against 0b011 to 0b101, whose pivot row is 2
+        assert set(reduce_gf2([0b011, 0b110, 0b101])) == {1, 2}
+
+    def test_select_and_cleared(self):
+        cols = [0b001, 0b010, 0b100, 0b111]
+        assert set(reduce_gf2(cols, [1, 3])) == {1, 2}
+        assert set(reduce_gf2(cols, [0, 1, 2, 3], cleared={0, 3})) == {1, 2}
 
 
 class TestRankProperties:
