@@ -17,6 +17,7 @@ from .betti import BettiTable, ensure_sweepable, hochster_table
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
 from .errors import ConsistencyError, InputError, VoidComplexError
 from .homology import (
+    FaceSelector,
     PrimeField,
     induced_restrictions,
     packed_chain,
@@ -123,21 +124,23 @@ def leray_dimension_direct(
 def _leray_direct_gf2(d: SimplicialComplex) -> int:
     """leray_dimension_direct over GF(2), from columns packed once.
 
-    Each restriction reduces its maps from the top cardinality down,
-    clearing the columns that the map above names as pivot rows, and
-    stops at its first nonzero degree or at the best degree found so far,
-    since lower degrees cannot raise the maximum.
+    Each restriction selects its faces' columns through vertex masks and
+    reduces them from the largest face size it can hold down, clearing
+    the columns that the map above names as pivot rows, and stops at its
+    first nonzero degree or at the best degree found so far, since lower
+    degrees cannot raise the maximum.
     """
     if any(f.bits == (1 << d.n) - 1 for f in d.facets):
         return 0  # every subset lies inside this facet
-    by_card, columns = packed_chain(d._face_bits())
+    faces = d._face_bits()
+    by_card, columns = packed_chain(faces)
+    select = FaceSelector(by_card, d.n)
     best = -1
-    for sigma in restriction_subsets(d, skip_faces=True):
-        not_sigma = ~sigma
+    for sigma in restriction_subsets(d.n, faces):
         above: Container[int] = ()
         # H~_{c-1} = |faces of size c| - rank d_c - rank d_{c+1}
-        for c in range(len(by_card) - 1, best + 1, -1):
-            inside = [j for j, b in enumerate(by_card[c]) if not b & not_sigma]
+        for c in range(min(len(by_card) - 1, sigma.bit_count()), best + 1, -1):
+            inside = select.inside(c, sigma)
             pivots = reduce_gf2(columns[c], inside, above)
             if len(inside) != len(pivots) + len(above):
                 best = c - 1

@@ -15,6 +15,8 @@ ranks, computed by one of two kernels, one per kind of field:
   int64 arithmetic never overflows.
 
 `rank_array` takes a dense matrix at any p and hands GF(2) to the first.
+The library's GF(2) routes all reduce packed columns, so `rank_array(a, 2)`
+serves only the tests' dense reference and `warm_up`.
 """
 
 from __future__ import annotations

@@ -76,12 +76,14 @@ class TestReducedHomology:
 
     def test_boundary_memory_guard_runs_before_allocation(self, monkeypatch):
         # C(18,9) x C(18,10) alone is 2.1e9 cells; the guard must refuse on
-        # every route without building a single matrix or packed column.
+        # every route without building a single matrix, packed column or
+        # vertex mask.
         def refuse(*_):
             raise AssertionError("boundary matrix built past the memory guard")
 
         monkeypatch.setattr(homology, "boundary_matrix", refuse)
         monkeypatch.setattr(homology, "packed_boundary_columns", refuse)
+        monkeypatch.setattr(homology.FaceSelector, "__init__", refuse)
         d = hollow_simplex(18)
         with pytest.raises(GuardError, match="cells"):
             hochster_table(d, GF2)
@@ -113,13 +115,17 @@ class TestPackedProfile:
                     ), (seed, sigma)
 
 
+def plain_scan(by_card, c, sigma):
+    """Indices of the faces by_card[c][j] inside sigma, by scanning them all."""
+    return [j for j, b in enumerate(by_card[c]) if b & ~sigma == 0]
+
+
 def cleared_profile(by_card, columns, sigma):
     """Profile of the restriction to sigma from columns packed once, cleared top down."""
     ranks = [0] * len(by_card)
     above = ()
     for c in range(len(by_card) - 1, 0, -1):
-        inside = [j for j, b in enumerate(by_card[c]) if b & ~sigma == 0]
-        above = reduce_gf2(columns[c], inside, above)
+        above = reduce_gf2(columns[c], plain_scan(by_card, c, sigma), above)
         ranks[c] = len(above)
     counts = [sum(1 for b in bucket if b & ~sigma == 0) for bucket in by_card]
     return profile_from_counts_and_ranks(counts, ranks, GF2)
@@ -151,6 +157,33 @@ class TestPackedChain:
             ), sigma
 
 
+class TestFaceSelector:
+    """Vertex masks select exactly the faces the plain scan finds, in order."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            complete_bipartite_clique(4),
+            cone_of_cross_polytope(4),
+            cross_polytope(5),
+            projective_plane(),
+            full_simplex(4),
+            SimplicialComplex.irrelevant(3),
+            SimplicialComplex.from_faces(6, [0b000011, 0b000110, 0b010100]),
+        ]
+        + [random_complex(n, density, 2) for n in range(5, 11) for density in (0.15, 0.3)],
+        ids=["K_4,4", "cone_4", "cross_5", "RP2", "full_4", "irrelevant", "missing"]
+        + [f"random_{n}_{density}" for n in range(5, 11) for density in (0.15, 0.3)],
+    )
+    def test_every_subset_and_cardinality_matches_plain_scan(self, d):
+        by_card = homology.group_by_cardinality(d._face_bits())
+        select = homology.FaceSelector(by_card, d.n)
+        for sigma in range(1 << d.n):
+            for c in range(len(by_card)):
+                expected = plain_scan(by_card, c, sigma)
+                assert select.inside(c, sigma) == expected, (c, sigma)
+
+
 class TestInducedRestrictions:
     def test_every_subset_with_exactly_its_faces(self):
         d = random_complex(5, 0.5, 3)
@@ -161,10 +194,17 @@ class TestInducedRestrictions:
             assert inside == sorted(b for b in faces if b & ~sigma == 0)
 
     def test_skip_faces_leaves_out_subsets_inside_a_facet(self):
-        d = cross_polytope(1)  # the square: facets 1010, 1001, 0110, 0101
-        kept = {sigma for sigma, _ in induced_restrictions(d, skip_faces=True)}
-        faces = d._face_bits()
-        assert kept == set(range(1 << 4)) - faces
+        cases = [
+            (cross_polytope(1), 2),  # the square: facets 1010, 1001, 0110, 0101
+            (SimplicialComplex.irrelevant(3), 0),  # only the empty face
+            (SimplicialComplex.from_faces(4, [0b0011, 0b0110]), 1),  # vertex 4 missing
+        ]
+        for d, leray in cases:
+            kept = {sigma for sigma, _ in induced_restrictions(d, skip_faces=True)}
+            assert kept == set(range(1 << d.n)) - d._face_bits()
+            # The skipped empty subset only carries degree -1, so no value moves.
+            for p in (2, 3):
+                assert leray_dimension_direct(d, PrimeField(p)) == leray, (d, p)
 
 
 class TestUnreducedHomology:
