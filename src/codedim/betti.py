@@ -7,32 +7,26 @@ Only the lcm-lattice is visited, the unions of minimal nonfaces with
 the empty set included (Gasharov-Peeva-Welker).  Any other s has a
 vertex v lying in no minimal nonface inside s, so the induced
 subcomplex on s is a cone with apex v and carries no reduced homology.
-The boundary maps are built once, over the faces under the top of the
-lattice, and each subset selects the faces it contains (a face inside
-the subset has all its boundary faces inside it, so every dropped entry
-of a kept column is zero and ranks are unaffected).  Over GF(2) the maps
-are packed columns, selected by vertex masks and reduced from the top
-cardinality down with clearing; at odd p they are dense matrices, sliced
-to the selected rows and columns.
+One `homology.Chain` holds the boundary maps over the faces under the
+top of the lattice, and each subset ranks the faces it contains; the
+chain picks the kernel for the field.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Container, Iterator
-
-import numpy as np
+from typing import Iterator
 
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
 from .errors import GuardError, InputError, VoidComplexError
-from .homology import (
-    FaceSelector,
-    chain_data,
-    packed_chain,
-    profile_from_counts_and_ranks,
-)
-from .linalg import PrimeField, rank_array, reduce_gf2
+from .homology import Chain
+from .linalg import PrimeField
+
+# Unused here: perfbench/tracing.py wraps these bindings by name, and
+# tests/test_tracer_bindings.py checks that they exist.
+from .homology import chain_data  # noqa: F401
+from .linalg import rank_array  # noqa: F401
 
 # Fixed vertex limit for the subset sweeps (this table and the direct
 # Leray route), below the ambient cap of complexes.AMBIENT_CAP.
@@ -138,9 +132,7 @@ def subset_homology_profiles(
     Yields (sigma_bits, {degree: dimension}) with zero dimensions
     omitted, for every sigma in the lcm-lattice of d in increasing bit
     order.  The subsets skipped are cones and have no reduced homology.
-    Both fields build their maps once and let each sigma select its
-    faces; GF(2) reduces packed columns with clearing, odd p ranks dense
-    slices.
+    A table needs every degree, so nothing stops early.
     """
     if d.is_void:
         raise VoidComplexError(
@@ -151,54 +143,9 @@ def subset_homology_profiles(
     # The last element is the union of all minimal nonfaces; no visited
     # subset reaches a face outside it.
     outside = ~lattice[-1]
-    faces = [b for b in d._face_bits() if b & outside == 0]
-    if field.p == 2:
-        yield from _profiles_gf2(faces, lattice, d.n, field)
-        return
-    by_card, boundaries = chain_data(faces)
-    p = field.p
+    chain = Chain((b for b in d._face_bits() if b & outside == 0), d.n, field)
     for sigma in lattice:
-        not_sigma = ~sigma
-        counts: list[int] = []
-        masks = []
-        for arr in by_card:
-            mask = (arr & not_sigma) == 0
-            inside = int(mask.sum())
-            if inside == 0:
-                break
-            counts.append(inside)
-            masks.append(mask)
-        ranks = [0]
-        for c in range(1, len(counts)):
-            sub = boundaries[c][np.ix_(masks[c - 1], masks[c])]
-            ranks.append(rank_array(sub, p))
-        profile = profile_from_counts_and_ranks(counts, ranks, field)
-        yield sigma, profile.dims
-
-
-def _profiles_gf2(
-    faces: list[int], lattice: list[int], n: int, field: PrimeField
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """subset_homology_profiles over GF(2), from columns packed once.
-
-    Each lattice element selects the columns of its faces and reduces
-    them from the top cardinality down, clearing the columns that the map
-    above names as pivot rows.  A table needs every degree, so nothing
-    stops early.
-    """
-    by_card, columns = packed_chain(faces)
-    select = FaceSelector(by_card, n)
-    for sigma in lattice:
-        top = min(len(by_card) - 1, sigma.bit_count())
-        counts = [1] + [0] * top
-        ranks = [0] * (top + 1)
-        above: Container[int] = ()
-        for c in range(top, 0, -1):
-            inside = select.inside(c, sigma)
-            above = reduce_gf2(columns[c], inside, above)
-            counts[c] = len(inside)
-            ranks[c] = len(above)
-        yield sigma, profile_from_counts_and_ranks(counts, ranks, field).dims
+        yield sigma, chain.profile(sigma).dims
 
 
 def hochster_table(
@@ -247,15 +194,17 @@ def table_to_json(t: BettiTable) -> str:
 
 
 def table_from_json(text: str) -> BettiTable:
-    obj = json.loads(text)
     try:
+        obj = json.loads(text)
         n = int(obj["n"])
         field = PrimeField(int(obj["field"]))
         entries = {
             (int(e["i"]), VertexSet.parse(e["sigma"], n)): int(e["beta"])
             for e in obj["entries"]
         }
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"not a serialized Betti table: {exc}") from None
     return BettiTable(n, field, entries)
 

@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Container
 
 from .betti import BettiTable, ensure_sweepable, hochster_table
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
 from .errors import ConsistencyError, InputError, VoidComplexError
 from .homology import (
-    FaceSelector,
+    Chain,
     PrimeField,
-    induced_restrictions,
-    packed_chain,
-    profile_of_face_bits,
     restriction_subsets,
     top_nonzero_degree,
     unreduced_homology,
 )
-from .linalg import reduce_gf2
+
+# Unused here: perfbench/tracing.py counts calls at this binding, and
+# tests/test_tracer_bindings.py checks that it exists.
+from .homology import profile_of_face_bits  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -99,53 +98,30 @@ def leray_dimension_direct(
 ) -> int:
     """Top degree carrying homology over all induced subcomplexes, plus one.
 
-    Reduces every restriction's own boundary maps and shares none with
-    the table route, so it cross-checks the table-driven value.  Over
-    GF(2) the columns are packed once for the whole complex: a face
-    inside sigma has all its boundary rows inside sigma, so each
-    restriction just selects the columns of its faces.  Other fields
-    build each restriction's matrices afresh.
+    Ranks every restriction that is not a face of d (a face restricts to
+    a full simplex) and shares no pruning with the table route, so it
+    cross-checks the table-driven value.  One Chain holds the whole
+    complex's boundary maps, and each restriction ranks the faces inside
+    it from the largest face size it can hold down, stopping at its first
+    nonzero degree or at the best degree found so far, since lower
+    degrees cannot raise the maximum.
     """
     if d.is_void:
         raise VoidComplexError("the void complex has no dimension bounds")
     ensure_sweepable(d)
-    if field.p == 2:
-        return _leray_direct_gf2(d)
-    best = -1
-    # A subset inside a facet restricts to a full simplex: nothing to see.
-    for _, inside in induced_restrictions(d, skip_faces=True):
-        profile = profile_of_face_bits(inside, field)
-        top = top_nonzero_degree(profile, -1)
-        if top > best:
-            best = top
-    return best + 1 if best >= 0 else 0
-
-
-def _leray_direct_gf2(d: SimplicialComplex) -> int:
-    """leray_dimension_direct over GF(2), from columns packed once.
-
-    Each restriction selects its faces' columns through vertex masks and
-    reduces them from the largest face size it can hold down, clearing
-    the columns that the map above names as pivot rows, and stops at its
-    first nonzero degree or at the best degree found so far, since lower
-    degrees cannot raise the maximum.
-    """
     if any(f.bits == (1 << d.n) - 1 for f in d.facets):
         return 0  # every subset lies inside this facet
     faces = d._face_bits()
-    by_card, columns = packed_chain(faces)
-    select = FaceSelector(by_card, d.n)
+    chain = Chain(faces, d.n, field)
     best = -1
     for sigma in restriction_subsets(d.n, faces):
-        above: Container[int] = ()
+        above = 0
         # H~_{c-1} = |faces of size c| - rank d_c - rank d_{c+1}
-        for c in range(min(len(by_card) - 1, sigma.bit_count()), best + 1, -1):
-            inside = select.inside(c, sigma)
-            pivots = reduce_gf2(columns[c], inside, above)
-            if len(inside) != len(pivots) + len(above):
+        for c, inside, rank in chain.ranks(sigma, best + 1):
+            if len(inside) != rank + above:
                 best = c - 1
                 break
-            above = pivots
+            above = rank
     return best + 1 if best >= 0 else 0
 
 

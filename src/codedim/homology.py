@@ -5,6 +5,14 @@ degree -1 chain group and every vertex maps onto it.  This makes
 H~_{-1} of the one-point-free complex {0} one-dimensional, which is the
 convention that keeps the degree-1 ideal generators of a complex with
 missing vertices visible in the Betti table.
+
+Every route ranks through `Chain`, the one place that picks a format by
+field: packed columns reduced with clearing over GF(2), dense matrices
+ranked by the numpy elimination at odd p.  A chain builds a face set's
+boundary maps once; a vertex subset sigma then selects the faces inside
+it, whose boundary faces all lie inside it too, so every dropped entry
+of a kept column is zero and the ranks are those of the induced
+subcomplex on sigma.
 """
 
 from __future__ import annotations
@@ -17,10 +25,10 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 from .errors import GuardError
-from .linalg import PrimeField, rank_array, rank_gf2
+from .linalg import PrimeField, rank_array, reduce_gf2
 
-# Cap on the total cells of one complex's boundary matrices, 100 MB as
-# dense int8; the packed GF(2) columns are held to the same cap.  The full
+# Cap on the total cells of one Chain's boundary maps, 100 MB as dense
+# int8 at odd p; the packed GF(2) columns are held to the same cap.  The full
 # simplex on 11 vertices needs about 6.5e5 cells; the hollow simplex on
 # 20 vertices would need 1.3e11.
 MAX_BOUNDARY_CELLS = 10**8
@@ -188,24 +196,79 @@ def profile_from_counts_and_ranks(
     return ReducedHomologyProfile(dims, field)
 
 
+class Chain:
+    """A face set's boundary maps, built once, ranked on the faces inside any sigma.
+
+    Over GF(2) the maps are packed columns (`packed_chain`), reduced from
+    the top cardinality down, each map clearing the columns that the map
+    above names as pivot rows.  At odd p they are dense matrices
+    (`chain_data`), sliced to the faces inside sigma and ranked by the
+    numpy elimination.  The face masks of a `FaceSelector` are built at
+    the first proper subset, so a whole-set profile builds none.  Raises
+    GuardError before building anything when the maps would exceed
+    MAX_BOUNDARY_CELLS.
+    """
+
+    __slots__ = ("field", "by_card", "_maps", "_n", "_vertices", "_select")
+
+    def __init__(self, face_bits: Iterable[int], n: int, field: PrimeField):
+        self.field = field
+        if field.p == 2:
+            self.by_card, self._maps = packed_chain(face_bits)
+        else:
+            by_card, self._maps = chain_data(face_bits)
+            self.by_card = [bucket.tolist() for bucket in by_card]
+        self._n = n
+        self._vertices = (1 << n) - 1
+        self._select: FaceSelector | None = None
+
+    def _inside(self, c: int, sigma: int) -> list[int]:
+        """Indices j, increasing, of the faces by_card[c][j] inside sigma."""
+        if not ~sigma & self._vertices:
+            return list(range(len(self.by_card[c])))
+        if self._select is None:
+            self._select = FaceSelector(self.by_card, self._n)
+        return self._select.inside(c, sigma)
+
+    def ranks(self, sigma: int, stop: int = 0) -> Iterator[tuple[int, list[int], int]]:
+        """(c, faces of cardinality c inside sigma, rank of d_c on them) for c > stop.
+
+        Runs from the largest cardinality sigma can hold down, so a
+        caller that has seen enough can stop early.
+        """
+        top = min(len(self.by_card) - 1, sigma.bit_count())
+        if self.field.p == 2:
+            above: Container[int] = ()
+            for c in range(top, stop, -1):
+                inside = self._inside(c, sigma)
+                above = reduce_gf2(self._maps[c], inside, above)
+                yield c, inside, len(above)
+            return
+        rows = self._inside(top, sigma) if top > stop else []
+        for c in range(top, stop, -1):
+            cols, rows = rows, self._inside(c - 1, sigma)
+            yield c, cols, rank_array(self._maps[c][np.ix_(rows, cols)], self.field.p)
+
+    def profile(self, sigma: int | None = None) -> ReducedHomologyProfile:
+        """Reduced homology of the faces inside sigma, of all of them by default."""
+        if sigma is None:
+            sigma = self._vertices
+        top = min(len(self.by_card) - 1, sigma.bit_count())
+        # The empty face lies inside every sigma.
+        counts = [len(bucket) for bucket in self.by_card[:1]] + [0] * top
+        ranks = [0] * (top + 1)
+        for c, inside, rank in self.ranks(sigma):
+            counts[c] = len(inside)
+            ranks[c] = rank
+        return profile_from_counts_and_ranks(counts, ranks, self.field)
+
+
 def profile_of_face_bits(
     face_bits: Iterable[int], field: PrimeField
 ) -> ReducedHomologyProfile:
-    """Reduced homology of the complex whose faces are exactly face_bits.
-
-    Over GF(2) the boundary columns are packed straight from the face
-    bitmasks and no matrix is built; other fields rank chain_data's
-    matrices.
-    """
-    if field.p == 2:
-        by_card, columns = packed_chain(face_bits)
-        ranks = [0] + [rank_gf2(cols) for cols in columns[1:]]
-    else:
-        by_card, boundaries = chain_data(face_bits)
-        ranks = [0] + [rank_array(boundaries[c], field.p) for c in range(1, len(by_card))]
-    if not by_card:
-        return ReducedHomologyProfile({}, field)
-    return profile_from_counts_and_ranks([len(b) for b in by_card], ranks, field)
+    """Reduced homology of the complex whose faces are exactly face_bits."""
+    faces = list(face_bits)
+    return Chain(faces, max(faces, default=0).bit_length(), field).profile()
 
 
 def restriction_subsets(n: int, skip: Container[int] = ()) -> Iterator[int]:
@@ -220,17 +283,14 @@ def restriction_subsets(n: int, skip: Container[int] = ()) -> Iterator[int]:
             yield sigma
 
 
-def induced_restrictions(
-    d: SimplicialComplex, skip_faces: bool = False
-) -> Iterator[tuple[int, list[int]]]:
-    """(sigma, faces of d inside sigma) for each of restriction_subsets.
+def induced_restrictions(d: SimplicialComplex) -> Iterator[tuple[int, list[int]]]:
+    """(sigma, faces of d inside sigma) for every subset sigma of d's vertices.
 
     Each restriction is selected afresh from d's whole face list, so the
     checks built on it share nothing with the table route.
     """
-    face_set = d._face_bits()
-    faces = sorted(face_set)
-    for sigma in restriction_subsets(d.n, face_set if skip_faces else ()):
+    faces = sorted(d._face_bits())
+    for sigma in restriction_subsets(d.n):
         not_sigma = ~sigma
         yield sigma, [b for b in faces if b & not_sigma == 0]
 
@@ -239,7 +299,7 @@ def reduced_homology(
     d: SimplicialComplex, field: PrimeField = PrimeField(2)
 ) -> ReducedHomologyProfile:
     """Reduced homology dimensions of d in every degree from -1 up."""
-    return profile_of_face_bits(d._face_bits(), field)
+    return Chain(d._face_bits(), d.n, field).profile()
 
 
 def unreduced_homology(

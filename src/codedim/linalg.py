@@ -9,14 +9,13 @@ ranks, computed by one of two kernels, one per kind of field:
   It returns the pivot rows, so a caller reducing a chain complex from
   the top down can clear the columns that those rows name;
   `rank_gf2` counts them.
-* odd p: a numpy Gaussian elimination that vectorises the row operations
-  of each pivot.  Elimination is fraction-free (cross-multiplication
-  instead of pivot inversion), so entries stay below p^2 < 2^32 and
-  int64 arithmetic never overflows.
+* odd p: `rank_array`, a numpy Gaussian elimination over a dense matrix
+  that vectorises the row operations of each pivot.  Elimination is
+  fraction-free (cross-multiplication instead of pivot inversion), so
+  entries stay below p^2 < 2^32 and int64 arithmetic never overflows.
+  It is correct at p = 2 as well, where only the tests call it.
 
-`rank_array` takes a dense matrix at any p and hands GF(2) to the first.
-The library's GF(2) routes all reduce packed columns, so `rank_array(a, 2)`
-serves only the tests' dense reference and `warm_up`.
+`homology.Chain` picks between the two by field.
 """
 
 from __future__ import annotations
@@ -99,16 +98,6 @@ def rank_array(a: np.ndarray, p: int) -> int:
     n_rows, n_cols = a.shape
     if n_rows == 0 or n_cols == 0:
         return 0
-    if p == 2:
-        # One big-endian byte string per column, row 0 in the top bit.
-        width = (n_rows + 7) // 8
-        packed = np.packbits(a & 1, axis=0).T.tobytes()
-        return rank_gf2(
-            [
-                int.from_bytes(packed[j : j + width], "big")
-                for j in range(0, n_cols * width, width)
-            ]
-        )
     a = np.remainder(a, p, dtype=np.int64)
     r = 0
     for c in range(n_cols):
@@ -147,5 +136,5 @@ def available_backends() -> tuple[str, ...]:
 
 def warm_up() -> None:
     """Run one probe rank per kernel so that first-call set-up is paid before timing."""
-    for p in (2, 3):
-        rank_array(np.eye(2, dtype=np.int64), p)
+    rank_gf2([0b01, 0b10])
+    rank_array(np.eye(2, dtype=np.int64), 3)

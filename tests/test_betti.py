@@ -186,8 +186,16 @@ class TestSerialization:
         assert table_from_json(text) == table
 
     def test_json_rejects_garbage(self):
-        with pytest.raises(InputError):
-            table_from_json('{"n": 3}')
+        # One test id for every malformed document: a missing key, text
+        # that is not JSON, a number where a grading goes, a word for a step.
+        for text in (
+            '{"n": 3}',
+            "not json",
+            '{"n": 1, "field": 2, "entries": [{"i": 0, "sigma": 0, "beta": 1}]}',
+            '{"n": 1, "field": 2, "entries": [{"i": "x", "sigma": "0", "beta": 1}]}',
+        ):
+            with pytest.raises(InputError):
+                table_from_json(text)
 
     def test_m2_block_for_cone_over_square(self):
         table = hochster_table(cone_of_cross_polytope(1), GF2)

@@ -38,6 +38,7 @@ from codedim.homology import (
     induced_restrictions,
     profile_of_face_bits,
     reduced_homology,
+    restriction_subsets,
     top_nonzero_degree,
 )
 from codedim.linalg import PrimeField
@@ -173,43 +174,71 @@ class TestFieldDependence:
             assert leray_dimension_direct(d, PrimeField(p)) == expected
 
 
+# Fixtures of the direct-route tests, by test id.
+DIRECT_FIXTURES = {
+    "K_4,4": complete_bipartite_clique(4),
+    "cone_4": cone_of_cross_polytope(4),
+    "cross_5": cross_polytope(5),
+    "hollow_6": hollow_simplex(6),
+    "full_4": full_simplex(4),
+    "l26": complex_of_code(code_l26()),
+    "irrelevant": SimplicialComplex.irrelevant(3),
+    "RP2": projective_plane(),
+    "cone_RP2": cone(projective_plane()),
+    "suspension_RP2": suspension(projective_plane()),
+}
+
+
 class TestDirectRouteGF2:
-    """Columns packed once and cleared against the per-restriction route."""
+    """The direct route on one chain against the per-restriction route.
+
+    It started at GF(2) alone; the GF(2) cases keep their ids and the
+    odd-p cases carry the field in theirs.
+    """
 
     @pytest.mark.parametrize(
-        "d",
+        "d,p",
         [
-            complete_bipartite_clique(4),
-            cone_of_cross_polytope(4),
-            cross_polytope(5),
-            hollow_simplex(6),
-            full_simplex(4),
-            complex_of_code(code_l26()),
-            SimplicialComplex.irrelevant(3),
-            projective_plane(),
-            cone(projective_plane()),
-            suspension(projective_plane()),
-        ],
-        ids=[
-            "K_4,4", "cone_4", "cross_5", "hollow_6", "full_4", "l26",
-            "irrelevant", "RP2", "cone_RP2", "suspension_RP2",
+            pytest.param(d, p, id=name if p == 2 else f"{name}-GF{p}")
+            for p in (2, 3, 5)
+            for name, d in DIRECT_FIXTURES.items()
         ],
     )
-    def test_fixtures(self, d):
-        assert leray_dimension_direct(d, GF2) == leray_per_restriction(d, GF2)
+    def test_fixtures(self, d, p):
+        field = PrimeField(p)
+        assert leray_dimension_direct(d, field) == leray_per_restriction(d, field)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "d,leray",
+        [
+            (cross_polytope(1), 2),  # the square: facets 1010, 1001, 0110, 0101
+            (SimplicialComplex.irrelevant(3), 0),  # only the empty face
+            (SimplicialComplex.from_faces(4, [0b0011, 0b0110]), 1),  # vertex 4 missing
+        ],
+        ids=["square", "irrelevant", "missing"],
+    )
+    def test_skipped_faces_move_no_value(self, d, leray, p):
+        faces = d._face_bits()
+        assert set(restriction_subsets(d.n, faces)) == set(range(1 << d.n)) - faces
+        # The skipped empty subset only carries degree -1, so no value moves.
+        assert leray_dimension_direct(d, PrimeField(p)) == leray
 
     def test_full_simplex_is_not_packed(self):
         # every restriction lies inside the one facet, so nothing is built;
-        # packing this complex would need 5.7e8 cells, above the cap
-        assert leray_dimension_direct(full_simplex(16), GF2) == 0
+        # its boundary maps would need 5.7e8 cells, above the cap
+        for p in (2, 3):
+            assert leray_dimension_direct(full_simplex(16), PrimeField(p)) == 0
 
     def test_oracle_seeds(self):
-        for seed in range(160):
-            n = 5 + seed % 4
-            d = random_complex(n, _DENSITIES[seed % len(_DENSITIES)], seed)
-            assert leray_dimension_direct(d, GF2) == leray_per_restriction(
-                d, GF2
-            ), seed
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            for seed in range(160):
+                n = 5 + seed % 4
+                d = random_complex(n, _DENSITIES[seed % len(_DENSITIES)], seed)
+                assert leray_dimension_direct(d, field) == leray_per_restriction(
+                    d, field
+                ), (p, seed)
 
 
 class TestLerayDimension:

@@ -85,12 +85,23 @@ class TestReducedHomology:
         monkeypatch.setattr(homology, "packed_boundary_columns", refuse)
         monkeypatch.setattr(homology.FaceSelector, "__init__", refuse)
         d = hollow_simplex(18)
-        with pytest.raises(GuardError, match="cells"):
-            hochster_table(d, GF2)
-        with pytest.raises(GuardError, match="cells"):
-            reduced_homology(d, GF2)
-        with pytest.raises(GuardError, match="cells"):
-            leray_dimension_direct(d, GF2)
+        for field in (GF2, PrimeField(3)):
+            with pytest.raises(GuardError, match="cells"):
+                hochster_table(d, field)
+            with pytest.raises(GuardError, match="cells"):
+                reduced_homology(d, field)
+            with pytest.raises(GuardError, match="cells"):
+                leray_dimension_direct(d, field)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_whole_complex_builds_no_face_masks(self, monkeypatch, p):
+        def refuse(*_):
+            raise AssertionError("face masks built for the whole face set")
+
+        monkeypatch.setattr(homology.FaceSelector, "__init__", refuse)
+        field = PrimeField(p)
+        assert reduced_homology(cross_polytope(2), field).dims == {2: 1}
+        assert profile_of_face_bits(hollow_simplex(4)._face_bits(), field).dims == {2: 1}
 
 
 class TestPackedProfile:
@@ -156,6 +167,23 @@ class TestPackedChain:
                 inside, GF2
             ), sigma
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_chain_profile_matches_fresh_profile(self, p):
+        # One Chain per complex, selected by masks, against a Chain built
+        # afresh over each restriction's own faces.
+        field = PrimeField(p)
+        complexes = [
+            random_complex(5 + seed % 3, _DENSITIES[seed % len(_DENSITIES)], seed)
+            for seed in range(30)
+        ] + [projective_plane()]
+        for d in complexes:
+            chain = homology.Chain(d._face_bits(), d.n, field)
+            for sigma, inside in induced_restrictions(d):
+                assert chain.profile(sigma) == profile_of_face_bits(inside, field), (
+                    d,
+                    sigma,
+                )
+
 
 class TestFaceSelector:
     """Vertex masks select exactly the faces the plain scan finds, in order."""
@@ -192,19 +220,6 @@ class TestInducedRestrictions:
         assert [sigma for sigma, _ in seen] == list(range(1 << 5))
         for sigma, inside in seen:
             assert inside == sorted(b for b in faces if b & ~sigma == 0)
-
-    def test_skip_faces_leaves_out_subsets_inside_a_facet(self):
-        cases = [
-            (cross_polytope(1), 2),  # the square: facets 1010, 1001, 0110, 0101
-            (SimplicialComplex.irrelevant(3), 0),  # only the empty face
-            (SimplicialComplex.from_faces(4, [0b0011, 0b0110]), 1),  # vertex 4 missing
-        ]
-        for d, leray in cases:
-            kept = {sigma for sigma, _ in induced_restrictions(d, skip_faces=True)}
-            assert kept == set(range(1 << d.n)) - d._face_bits()
-            # The skipped empty subset only carries degree -1, so no value moves.
-            for p in (2, 3):
-                assert leray_dimension_direct(d, PrimeField(p)) == leray, (d, p)
 
 
 class TestUnreducedHomology:

@@ -110,8 +110,7 @@ class TestRankGF2:
 
 
 class TestRankProperties:
-    # Shapes from 1 to 70 cross the byte and the 64-bit word boundaries
-    # of np.packbits in both directions.
+    # Shapes from 1 to 70 give packed columns of more than one 64-bit word.
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.integers(1, 70),
