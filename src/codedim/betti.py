@@ -21,12 +21,11 @@ from typing import Iterator
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
 from .errors import GuardError, InputError, VoidComplexError
 from .homology import Chain
-from .linalg import PrimeField
+from .linalg import PrimeField, rank_array
 
-# Unused here: perfbench/tracing.py wraps these bindings by name, and
-# tests/test_tracer_bindings.py checks that they exist.
+# Unused here: perfbench/tracing.py wraps this binding by name, and
+# tests/test_tracer_bindings.py checks that it exists.
 from .homology import chain_data  # noqa: F401
-from .linalg import rank_array  # noqa: F401
 
 # Fixed vertex limit for the subset sweeps (this table and the direct
 # Leray route), below the ambient cap of complexes.AMBIENT_CAP.
@@ -143,7 +142,11 @@ def subset_homology_profiles(
     # The last element is the union of all minimal nonfaces; no visited
     # subset reaches a face outside it.
     outside = ~lattice[-1]
-    chain = Chain((b for b in d._face_bits() if b & outside == 0), d.n, field)
+    # The chain ranks odd-p maps through this module's rank_array binding,
+    # where perfbench/tracing.py files them under the table route.
+    chain = Chain(
+        (b for b in d._face_bits() if b & outside == 0), d.n, field, rank_array
+    )
     for sigma in lattice:
         yield sigma, chain.profile(sigma).dims
 

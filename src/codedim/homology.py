@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -203,16 +203,24 @@ class Chain:
     the top cardinality down, each map clearing the columns that the map
     above names as pivot rows.  At odd p they are dense matrices
     (`chain_data`), sliced to the faces inside sigma and ranked by the
-    numpy elimination.  The face masks of a `FaceSelector` are built at
-    the first proper subset, so a whole-set profile builds none.  Raises
+    numpy elimination, or by ``rank`` when a caller passes its own
+    binding of it.  The face masks of a `FaceSelector` are built at the
+    first proper subset, so a whole-set profile builds none.  Raises
     GuardError before building anything when the maps would exceed
     MAX_BOUNDARY_CELLS.
     """
 
-    __slots__ = ("field", "by_card", "_maps", "_n", "_vertices", "_select")
+    __slots__ = ("field", "by_card", "_maps", "_rank", "_n", "_vertices", "_select")
 
-    def __init__(self, face_bits: Iterable[int], n: int, field: PrimeField):
+    def __init__(
+        self,
+        face_bits: Iterable[int],
+        n: int,
+        field: PrimeField,
+        rank: Callable[[np.ndarray, int], int] | None = None,
+    ):
         self.field = field
+        self._rank = rank_array if rank is None else rank
         if field.p == 2:
             self.by_card, self._maps = packed_chain(face_bits)
         else:
@@ -247,7 +255,10 @@ class Chain:
         rows = self._inside(top, sigma) if top > stop else []
         for c in range(top, stop, -1):
             cols, rows = rows, self._inside(c - 1, sigma)
-            yield c, cols, rank_array(self._maps[c][np.ix_(rows, cols)], self.field.p)
+            if not cols:
+                yield c, cols, 0
+                continue
+            yield c, cols, self._rank(self._maps[c][np.ix_(rows, cols)], self.field.p)
 
     def profile(self, sigma: int | None = None) -> ReducedHomologyProfile:
         """Reduced homology of the faces inside sigma, of all of them by default."""

@@ -32,3 +32,22 @@ def test_spans_and_counters_resolve():
 def test_directly_wrapped_bindings_resolve():
     assert callable(vars(betti)["subset_homology_profiles"])
     assert isinstance(vars(complexes.SimplicialComplex)["from_faces"], classmethod)
+
+
+def test_odd_p_table_ranks_through_the_betti_binding(monkeypatch):
+    # The tracer files calls at betti.rank_array under linalg.rank.table.
+    from codedim.generators import cross_polytope
+    from codedim.linalg import PrimeField
+
+    shapes = []
+    rank_array = betti.rank_array
+
+    def counted(matrix, p):
+        shapes.append(matrix.shape)
+        return rank_array(matrix, p)
+
+    monkeypatch.setattr(betti, "rank_array", counted)
+    betti.hochster_table(cross_polytope(3), PrimeField(3))
+    assert shapes
+    # A map with no column is never handed over.
+    assert all(cols for _, cols in shapes)
