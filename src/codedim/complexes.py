@@ -49,6 +49,7 @@ class VertexSet:
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
+        _check_ambient(n)  # before 1 << n, which fails or grows without it
         return cls((1 << n) - 1, n)
 
     @classmethod

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 from .betti import BettiTable, ensure_sweepable, hochster_table
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
@@ -50,13 +51,11 @@ class DimensionReport:
         return (self.leray, self.helly, self.homological_betti)
 
 
-def leray_dimension(t: BettiTable) -> tuple[int, Witness | None]:
-    """Largest |sigma| - i over positive entries at steps >= 1."""
+def _best_entry(entries: Iterable[tuple[int, VertexSet]]) -> tuple[int, Witness | None]:
+    """Largest |sigma| - i over the given entries, witnessed by the first to reach it."""
     best = -1
     witness = None
-    for i, sigma, _ in t.items():
-        if i < 1:
-            continue
+    for i, sigma in entries:
         value = len(sigma) - i
         if value > best:
             best = value
@@ -64,33 +63,22 @@ def leray_dimension(t: BettiTable) -> tuple[int, Witness | None]:
     return (best, witness) if best >= 0 else (0, None)
 
 
+def leray_dimension(t: BettiTable) -> tuple[int, Witness | None]:
+    """Largest |sigma| - i over positive entries at steps >= 1."""
+    return _best_entry((i, sigma) for i, sigma, _ in t.items() if i >= 1)
+
+
 def helly_dimension(t: BettiTable) -> tuple[int, Witness | None]:
     """Largest |sigma| - 1 over positive entries at step 1."""
-    best = -1
-    witness = None
-    for i, sigma, _ in t.items():
-        if i != 1:
-            continue
-        value = len(sigma) - 1
-        if value > best:
-            best = value
-            witness = Witness(1, sigma)
-    return (best, witness) if best >= 0 else (0, None)
+    return _best_entry((i, sigma) for i, sigma, _ in t.items() if i == 1)
 
 
 def hom_dimension_betti(t: BettiTable) -> tuple[int, Witness | None]:
     """Largest n - i over positive entries graded by the full vertex set."""
     full = VertexSet.full(t.n)
-    best = -1
-    witness = None
-    for i, sigma, _ in t.items():
-        if i < 1 or sigma != full:
-            continue
-        value = len(sigma) - i
-        if value > best:
-            best = value
-            witness = Witness(i, sigma)
-    return (best, witness) if best >= 0 else (0, None)
+    return _best_entry(
+        (i, sigma) for i, sigma, _ in t.items() if i >= 1 and sigma == full
+    )
 
 
 def leray_dimension_direct(

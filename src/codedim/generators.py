@@ -79,6 +79,7 @@ def hollow_simplex(m: int) -> SimplicialComplex:
     """Every proper subset of {1..m} is a face; the whole set is not."""
     if m < 2:
         raise InputError(f"a hollow simplex needs >= 2 vertices, got {m}")
+    _check_ambient(m)
     full = (1 << m) - 1
     return SimplicialComplex.from_faces(m, (full ^ (1 << v) for v in range(m)))
 

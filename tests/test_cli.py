@@ -219,6 +219,14 @@ class TestErrorPaths:
         assert status == 2
         assert "n=-1" in err
 
+    def test_negative_full_simplex_size_exits_two(self, capsys):
+        status, _, err = run(
+            capsys, "analyze", "--generator", "full-simplex", "--n", "-1"
+        )
+        assert status == 2
+        assert "n=-1" in err
+        assert "Traceback" not in err
+
     def test_nonprime_field_rejected(self, capsys):
         status, _, err = run(
             capsys, "analyze", "--generator", "square", "--field", "6"

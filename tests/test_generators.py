@@ -119,6 +119,22 @@ class TestHollowSimplex:
         with pytest.raises(InputError):
             hollow_simplex(1)
 
+    def test_oversize_refused_before_any_face_is_built(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("faces built past the ambient guard")
+
+        monkeypatch.setattr(SimplicialComplex, "from_faces", refuse)
+        with pytest.raises(GuardError, match="n=3000"):
+            hollow_simplex(3000)
+
+
+class TestFullSimplex:
+    def test_negative_size_refused_by_the_ambient_guard(self):
+        with pytest.raises(GuardError, match="n=-1"):
+            full_simplex(-1)
+        with pytest.raises(GuardError, match="n=-1"):
+            VertexSet.full(-1)
+
 
 class TestProjectivePlane:
     def test_six_vertices_and_ten_triangles(self):
