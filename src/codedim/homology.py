@@ -294,6 +294,18 @@ def restriction_subsets(n: int, skip: Container[int] = ()) -> Iterator[int]:
             yield sigma
 
 
+def induced_restrictions(d: SimplicialComplex) -> Iterator[tuple[int, list[int]]]:
+    """(sigma, faces of d inside sigma) for every subset sigma of d's vertices.
+
+    Each restriction is selected afresh from d's whole face list, so the
+    checks built on it share nothing with the table route.
+    """
+    faces = sorted(d._face_bits())
+    for sigma in restriction_subsets(d.n):
+        not_sigma = ~sigma
+        yield sigma, [b for b in faces if b & not_sigma == 0]
+
+
 def reduced_homology(
     d: SimplicialComplex, field: PrimeField = PrimeField(2)
 ) -> ReducedHomologyProfile:

@@ -26,6 +26,7 @@ from codedim.generators import (
     cross_polytope,
     full_simplex,
     code_l26,
+    projective_plane,
     random_complex,
 )
 from codedim.homology import chain_data, profile_from_counts_and_ranks
@@ -55,6 +56,26 @@ def exhaustive_table(d, field):
         for k, beta in dims.items():
             entries[(sigma.bit_count() - k - 1, VertexSet(sigma, d.n))] = beta
     return BettiTable(d.n, field, entries)
+
+
+def euler_defects(d, table):
+    """sigma -> signed face count inside sigma minus the table's alternating sum.
+
+    By Hochster's formula sum_i (-1)^(|sigma|-i-1) beta_{i,sigma} is
+    chi~(d|sigma), the signed count of the faces inside sigma with the
+    empty one included, so only nonzero defects are returned.
+    """
+    faces = d._face_bits()
+    defects = {}
+    for sigma in range(1 << d.n):
+        chi = sum(1 - 2 * ((b.bit_count() - 1) & 1) for b in faces if b & ~sigma == 0)
+        if chi:
+            defects[sigma] = chi
+    for i, sigma, beta in table.items():
+        defects[sigma.bits] = defects.get(sigma.bits, 0) - (
+            1 - 2 * ((len(sigma) - i - 1) & 1)
+        ) * beta
+    return {sigma: v for sigma, v in defects.items() if v}
 
 
 def entries_of(table):
@@ -134,6 +155,27 @@ class TestHochsterTable:
             (i, s.binary()): b for i, s, b in t.items() if s <= window
         }
         assert inside(table) == inside(sub_table)
+
+    def test_euler_identity_on_both_projective_plane_tables(self):
+        d = projective_plane()
+        gf2, gf3 = (hochster_table(d, PrimeField(p)) for p in (2, 3))
+        assert gf2 != gf3
+        assert euler_defects(d, gf2) == {}
+        assert euler_defects(d, gf3) == {}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_euler_identity_on_every_grading(self, p):
+        for seed in range(12):
+            d = random_complex(6, _DENSITIES[seed % len(_DENSITIES)], seed)
+            assert euler_defects(d, hochster_table(d, PrimeField(p))) == {}
+
+    def test_euler_identity_sees_a_misplaced_step(self):
+        table = hochster_table(projective_plane(), GF2)
+        shifted = BettiTable(
+            table.n, GF2, {(i + 1, s): b for i, s, b in table.items() if i}
+            | {(0, VertexSet.empty(table.n)): 1}
+        )
+        assert euler_defects(projective_plane(), shifted)
 
     def test_field_characteristic_matters_structurally(self):
         # the table is well defined at every prime and keeps the step-0 entry

@@ -35,6 +35,7 @@ from codedim.generators import (
     random_complex,
 )
 from codedim.homology import (
+    induced_restrictions,
     profile_of_face_bits,
     reduced_homology,
     restriction_subsets,
@@ -42,8 +43,6 @@ from codedim.homology import (
 )
 from codedim.linalg import PrimeField
 from codedim.oracle import _DENSITIES
-
-from induced import induced_restrictions
 
 GF2 = PrimeField(2)
 

@@ -18,6 +18,7 @@ from codedim.dimensions import leray_dimension_direct
 from codedim.homology import (
     PrimeField,
     chain_data,
+    induced_restrictions,
     packed_chain,
     profile_from_counts_and_ranks,
     profile_of_face_bits,
@@ -28,7 +29,6 @@ from codedim.homology import (
 from codedim.linalg import reduce_gf2
 from codedim.oracle import _DENSITIES
 
-from induced import induced_restrictions
 from test_linalg import sympy_rank
 
 GF2 = PrimeField(2)

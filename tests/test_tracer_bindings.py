@@ -1,21 +1,27 @@
-"""Every library binding the benchmark tracer wraps must still exist.
+"""Every library name the benchmark imports or wraps must still exist.
 
 ``perfbench/tracing.py`` wraps functions by name at each caller's
 binding, so a refactor that renames or stops importing one of them
 breaks ``perfbench/run.py --trace 1`` without failing any other test.
+Likewise ``perfbench/workload.py`` imports its set-up hooks from
+``codedim.linalg`` when a workload starts.
 """
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
 import codedim.betti as betti
 import codedim.complexes as complexes
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py"
+    )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -27,6 +33,30 @@ def test_spans_and_counters_resolve():
         # Tracer.installed saves vars(owner)[attr] before replacing it.
         assert attr in vars(owner), f"{owner.__name__}.{attr} ({name})"
         assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr} ({name})"
+
+
+def test_perfbench_imports_from_codedim_resolve():
+    # The scripts are parsed, not run.
+    imports = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [
+                    (path.name, node.lineno, alias.name, None)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "codedim"
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                if node.module.split(".")[0] == "codedim":
+                    imports += [
+                        (path.name, node.lineno, node.module, alias.name)
+                        for alias in node.names
+                    ]
+    assert any(name == "warm_up" for *_, name in imports)
+    for script, line, module_name, name in imports:
+        module = importlib.import_module(module_name)
+        if name is not None:
+            assert hasattr(module, name), f"{script}:{line}: {module_name}.{name}"
 
 
 def test_directly_wrapped_bindings_resolve():
