@@ -15,6 +15,8 @@ chain picks the kernel for the field.
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,9 +44,15 @@ class RValue:
 
 
 class BettiTable:
-    """Map (step i, grading sigma) -> beta, positive entries only."""
+    """Map (step i, grading sigma) -> beta, positive entries only.
 
-    __slots__ = ("n", "field", "_entries")
+    The entries are held as two parallel `array('Q')`s, sorted packed
+    keys ``i << 30 | |sigma| << 24 | sigma.bits`` (n <= AMBIENT_CAP = 24,
+    so the bits and the size never overlap) and their betas, so a table
+    a caller keeps costs 16 bytes an entry.
+    """
+
+    __slots__ = ("n", "field", "_keys", "_betas")
 
     def __init__(
         self,
@@ -53,7 +61,7 @@ class BettiTable:
         entries: dict[tuple[int, VertexSet], int],
     ):
         for (i, sigma), beta in entries.items():
-            if beta <= 0:
+            if not 0 < beta < 1 << 64:
                 raise InputError(f"entry ({i}, {sigma.binary()}) has beta {beta}")
             if sigma.n != n:
                 raise InputError("grading ambient differs from table ambient")
@@ -68,26 +76,34 @@ class BettiTable:
             raise InputError("a table must carry the step-0 entry (0, {}) -> 1")
         self.n = n
         self.field = field
-        self._entries = dict(
-            sorted(entries.items(), key=lambda kv: _entry_key(kv[0]))
+        packed = sorted(
+            (_pack(i, sigma), beta) for (i, sigma), beta in entries.items()
         )
+        self._keys = array("Q", [key for key, _ in packed])
+        self._betas = array("Q", [beta for _, beta in packed])
 
     def beta(self, i: int, sigma: VertexSet) -> int:
-        return self._entries.get((i, sigma), 0)
+        if sigma.n != self.n:
+            return 0
+        key = _pack(i, sigma)
+        at = bisect_left(self._keys, key)
+        if at < len(self._keys) and self._keys[at] == key:
+            return self._betas[at]
+        return 0
 
     def items(self) -> Iterator[tuple[int, VertexSet, int]]:
         """Entries sorted by (i, |sigma|, bit pattern)."""
-        for (i, sigma), beta in self._entries.items():
-            yield i, sigma, beta
+        for key, beta in zip(self._keys, self._betas):
+            yield key >> 30, VertexSet(key & _BITS_MASK, self.n), beta
 
     def entries(self) -> dict[tuple[int, VertexSet], int]:
-        return dict(self._entries)
+        return {(i, sigma): beta for i, sigma, beta in self.items()}
 
     def max_step(self) -> int:
-        return max(i for i, _ in self._entries)
+        return self._keys[-1] >> 30
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BettiTable):
@@ -95,16 +111,20 @@ class BettiTable:
         return (
             self.n == other.n
             and self.field == other.field
-            and self._entries == other._entries
+            and self._keys == other._keys
+            and self._betas == other._betas
         )
 
     def __repr__(self) -> str:
         return f"BettiTable(n={self.n}, {self.field}, {len(self)} entries)"
 
 
-def _entry_key(key: tuple[int, VertexSet]) -> tuple[int, int, int]:
-    i, sigma = key
-    return (i, len(sigma), sigma.bits)
+_BITS_MASK = (1 << 24) - 1
+
+
+def _pack(i: int, sigma: VertexSet) -> int:
+    """The table key of (i, sigma); keys sort by (i, |sigma|, sigma.bits)."""
+    return i << 30 | len(sigma) << 24 | sigma.bits
 
 
 def lcm_lattice(d: SimplicialComplex) -> set[int]:

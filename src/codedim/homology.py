@@ -7,12 +7,13 @@ convention that keeps the degree-1 ideal generators of a complex with
 missing vertices visible in the Betti table.
 
 Every route ranks through `Chain`, the one place that picks a format by
-field: packed columns reduced with clearing over GF(2), dense matrices
-ranked by the numpy elimination at odd p.  A chain builds a face set's
-boundary maps once; a vertex subset sigma then selects the faces inside
-it, whose boundary faces all lie inside it too, so every dropped entry
-of a kept column is zero and the ranks are those of the induced
-subcomplex on sigma.
+field: packed columns reduced with clearing over GF(2), and at odd p
+dense int8 matrices, sliced per subset and ranked one map at a time by
+the sparse column reduction of `linalg.rank_array`.  A chain builds a
+face set's boundary maps once; a vertex subset sigma then selects the
+faces inside it, whose boundary faces all lie inside it too, so every
+dropped entry of a kept column is zero and the ranks are those of the
+induced subcomplex on sigma.
 """
 
 from __future__ import annotations
@@ -201,10 +202,11 @@ class Chain:
 
     Over GF(2) the maps are packed columns (`packed_chain`), reduced from
     the top cardinality down, each map clearing the columns that the map
-    above names as pivot rows.  At odd p they are dense matrices
-    (`chain_data`), sliced to the faces inside sigma and ranked by the
-    numpy elimination, or by ``rank`` when a caller passes its own
-    binding of it.  The face masks of a `FaceSelector` are built at the
+    above names as pivot rows.  At odd p they are dense int8 matrices
+    (`chain_data`), sliced to the faces inside sigma and ranked without
+    clearing by `rank_array`, which reduces the slice's nonzeros as
+    sparse columns, or by ``rank`` when a caller passes its own binding
+    of it.  The face masks of a `FaceSelector` are built at the
     first proper subset, so a whole-set profile builds none.  Raises
     GuardError before building anything when the maps would exceed
     MAX_BOUNDARY_CELLS.

@@ -9,11 +9,12 @@ ranks, computed by one of two kernels, one per kind of field:
   It returns the pivot rows, so a caller reducing a chain complex from
   the top down can clear the columns that those rows name;
   `rank_gf2` counts them.
-* odd p: `rank_array`, a numpy Gaussian elimination over a dense matrix
-  that vectorises the row operations of each pivot.  Elimination is
-  fraction-free (cross-multiplication instead of pivot inversion), so
-  entries stay below p^2 < 2^32 and int64 arithmetic never overflows.
-  It is correct at p = 2 as well, where only the tests call it.
+* odd p: `rank_array`, the same column reduction over sparse columns,
+  one dict {row: entry mod p} per column read from a dense integer
+  array.  A boundary map has at most c nonzeros per column, so the
+  elimination touches only those and the fill-in they produce; entries
+  are Python ints kept below p, so nothing overflows.  It is correct at
+  p = 2 as well, where only the tests call it.
 
 `homology.Chain` picks between the two by field.
 """
@@ -92,34 +93,43 @@ def rank_gf2(columns: Sequence[int]) -> int:
 
 
 def rank_array(a: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of a 2-D integer array of any width.  Does not mutate `a`."""
+    """Rank over GF(p) of a 2-D integer array of any width.  Does not mutate `a`.
+
+    Each column becomes a dict {row: entry mod p} of its nonzeros and is
+    reduced against a basis keyed by pivot row (its highest nonzero row),
+    as in `reduce_gf2`, until it either vanishes or brings a new pivot
+    row.  A pivot column is stored divided by its pivot entry, without
+    that entry, so each elimination step is one multiply-subtract per
+    entry.  The rank is the number of pivots.
+    """
     if a.ndim != 2:
         raise InputError("rank expects a 2-D array")
     n_rows, n_cols = a.shape
-    if n_rows == 0 or n_cols == 0:
-        return 0
-    a = np.remainder(a, p, dtype=np.int64)
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
+    cols, rows = np.nonzero(a.T)
+    values = np.remainder(a.T[cols, rows], p, dtype=np.int64)
+    columns: list[dict[int, int]] = [{} for _ in range(n_cols)]
+    for j, i, v in zip(cols.tolist(), rows.tolist(), values.tolist()):
+        if v:
+            columns[j][i] = v
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for col in columns:
+        if len(pivots) == n_rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        pivot_row = a[r]
-        pivot_val = pivot_row[c]
-        below = a[r + 1 :, c]
-        hit = below != 0
-        if hit.any():
-            block = a[r + 1 :][hit]
-            a[r + 1 :][hit] = (
-                block * pivot_val - np.outer(below[hit], pivot_row)
-            ) % p
-        r += 1
-    return r
+        while col:
+            lead = max(col)
+            factor = col.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = pow(factor, -1, p)
+                pivots[lead] = [(i, v * scale % p) for i, v in col.items()]
+                break
+            for i, v in pivot:
+                v = (col.get(i, 0) - factor * v) % p
+                if v:
+                    col[i] = v
+                else:
+                    del col[i]
+    return len(pivots)
 
 
 # The benchmark harness stamps each run with the kernel name and pays

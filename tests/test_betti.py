@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -267,6 +269,96 @@ class TestTableValidation:
                 2, GF2, {(0, VertexSet.empty(2)): 1, (3, VertexSet.full(2)): 1}
             )
 
+
+
+class TestPackedTable:
+    def test_full_set_of_24_vertices_survives_json_and_m2(self):
+        n = 24
+        top = VertexSet.full(n)
+        table = BettiTable(
+            n,
+            PrimeField(3),
+            {
+                (0, VertexSet.empty(n)): 1,
+                (1, VertexSet(1 << (n - 1), n)): 2,
+                (n, top): (1 << 64) - 1,
+            },
+        )
+        assert list(table.items())[-1] == (n, top, (1 << 64) - 1)
+        assert table.max_step() == n
+        again = table_from_json(table_to_json(table))
+        assert again == table
+        assert table_to_json(again) == table_to_json(table)
+        assert table_to_m2(again) == table_to_m2(table)
+        assert table_to_m2(table).splitlines()[-2].endswith(
+            f"({n}, {{{', '.join('1' * n)}}}, {n}) => {(1 << 64) - 1}"
+        )
+
+    def test_beta_above_the_word_refused(self):
+        with pytest.raises(InputError):
+            BettiTable(
+                2, GF2, {(0, VertexSet.empty(2)): 1, (1, VertexSet(1, 2)): 1 << 64}
+            )
+
+    def test_absent_keys_read_zero(self):
+        table = hochster_table(cross_polytope(1), GF2)
+        full = VertexSet.full(4)
+        assert table.beta(2, full) == 1
+        assert table.beta(1, full) == 0
+        assert table.beta(0, VertexSet(0b0011, 4)) == 0
+        # past the last key, and before the first one
+        assert table.beta(3, full) == 0
+        assert table.beta(99, full) == 0
+        assert table.beta(-1, VertexSet.empty(4)) == 0
+        # the same pattern in another ambient
+        assert table.beta(0, VertexSet.empty(5)) == 0
+
+    def test_equality_ignores_insertion_order(self):
+        table = hochster_table(cross_polytope(2), GF2)
+        entries = table.entries()
+        assert entries == {(i, s): b for i, s, b in table.items()}
+        reordered = dict(reversed(list(entries.items())))
+        rebuilt = BettiTable(table.n, GF2, reordered)
+        assert rebuilt == table
+        assert rebuilt.entries() == reordered
+        assert list(rebuilt.items()) == list(table.items())
+        assert rebuilt != BettiTable(table.n, PrimeField(3), reordered)
+
+    def test_items_sort_by_step_then_size_then_pattern(self):
+        n = 4
+        entries = {
+            (2, VertexSet(0b0111, n)): 1,
+            (1, VertexSet(0b1000, n)): 1,
+            (1, VertexSet(0b0011, n)): 1,
+            (1, VertexSet(0b0100, n)): 1,
+            (0, VertexSet.empty(n)): 1,
+            (2, VertexSet(0b1100, n)): 1,
+        }
+        order = [(i, s.bits) for i, s, _ in BettiTable(n, GF2, entries).items()]
+        assert order == [
+            (0, 0),
+            (1, 0b0100),
+            (1, 0b1000),
+            (1, 0b0011),
+            (2, 0b1100),
+            (2, 0b0111),
+        ]
+
+    def test_retained_bytes_per_entry(self):
+        # A dict of (i, VertexSet) keys held about 150 bytes an entry.
+        d = random_complex(10, 0.01, 1)
+        hochster_table(d, PrimeField(3))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = hochster_table(d, PrimeField(3))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) >= 500
+        assert held < 64 * len(table)
 
 
 class TestLatticeSweep:

@@ -181,3 +181,65 @@ class TestRankProperties:
                 composed = (boundaries[c] @ boundaries[c + 1]) % p
                 assert not composed.any()
 
+
+
+def boundary_like(rng, rows: int, cols: int) -> np.ndarray:
+    """int8 columns with up to four +-1 entries each, as in a boundary map."""
+    a = np.zeros((rows, cols), dtype=np.int8)
+    for j in range(cols):
+        hits = rng.choice(rows, size=min(rows, int(rng.integers(0, 5))), replace=False)
+        a[hits, j] = rng.choice(np.array([-1, 1], dtype=np.int8), size=hits.size)
+    return a
+
+
+class TestSparseOddPrimeKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 70),
+        cols=st.integers(1, 70),
+        p=st.sampled_from([3, 5, 7, 65521]),
+        boundary=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_sympy(self, rows, cols, p, boundary, seed):
+        rng = np.random.default_rng(seed)
+        if boundary:
+            a = boundary_like(rng, rows, cols)
+        else:
+            a = rng.integers(-(2**40), 2**40, size=(rows, cols), dtype=np.int64)
+        before = a.copy()
+        assert rank_array(a, p) == sympy_rank(a, p)
+        assert np.array_equal(a, before)
+
+    def test_rows_that_cancel_to_zero(self):
+        # the second column is twice the first; the third vanishes mod 3 only
+        a = np.array([[1, 2, 3], [2, 4, 0], [0, 0, 0]], dtype=np.int64)
+        assert rank_array(a, 3) == 1
+        assert rank_array(a, 5) == 2
+
+    def test_read_only_and_strided_input(self):
+        rng = np.random.default_rng(7)
+        a = boundary_like(rng, 40, 50)
+        a.flags.writeable = False
+        expected = sympy_rank(a, 3)
+        assert rank_array(a, 3) == expected
+        assert rank_array(a.T, 3) == expected
+        assert rank_array(a[::2, 1::3], 3) == sympy_rank(a[::2, 1::3], 3)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_ix_slices_of_a_chain_map(self, p):
+        # The table route ranks np.ix_ slices of a chain_data map on
+        # rows and columns that are not ranges.
+        from codedim.generators import cross_polytope
+        from codedim.homology import chain_data
+
+        _, boundaries = chain_data(cross_polytope(3)._face_bits())
+        rng = np.random.default_rng(p)
+        for c in range(2, len(boundaries)):
+            full = boundaries[c]
+            n_rows, n_cols = full.shape
+            for _ in range(10):
+                rows = np.sort(rng.choice(n_rows, size=n_rows // 2, replace=False))
+                cols = np.sort(rng.choice(n_cols, size=n_cols // 2, replace=False))
+                sliced = full[np.ix_(rows, cols)]
+                assert rank_array(sliced, p) == sympy_rank(sliced, p)
