@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field as dataclass_field
 
 from . import generators
 from .betti import hochster_table, level_ranks, table_to_json, table_to_m2
@@ -17,71 +16,52 @@ from .linalg import PrimeField
 from .oracle import corrupt_step_one, run_oracle_suite
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: field, format, and the input source."""
-
-    field_char: int = 2
-    output_format: str = "text"
-    generator: str | None = None
-    generator_args: dict[str, float] = dataclass_field(default_factory=dict)
-    code_file: str | None = None
-    complex_file: str | None = None
-    words: tuple[str, ...] | None = None
-
-
 _GENERATORS = {
-    "cross-polytope": ("i", lambda a: generators.cross_polytope(int(a))),
-    "cone": ("i", lambda a: generators.cone_of_cross_polytope(int(a))),
-    "octahedron": (None, lambda _: generators.cross_polytope(2)),
-    "square": (None, lambda _: generators.cross_polytope(1)),
-    "bipartite": ("r", lambda a: generators.complete_bipartite_clique(int(a))),
-    "hollow-simplex": ("m", lambda a: generators.hollow_simplex(int(a))),
-    "full-simplex": ("n", lambda a: generators.full_simplex(int(a))),
-    "l26": (None, lambda _: complex_of_code(generators.code_l26())),
-    "projective-plane": (None, lambda _: generators.projective_plane()),
+    "cross-polytope": ("i", generators.cross_polytope),
+    "cone": ("i", generators.cone_of_cross_polytope),
+    "octahedron": (None, lambda: generators.cross_polytope(2)),
+    "square": (None, lambda: generators.cross_polytope(1)),
+    "bipartite": ("r", generators.complete_bipartite_clique),
+    "hollow-simplex": ("m", generators.hollow_simplex),
+    "full-simplex": ("n", generators.full_simplex),
+    "l26": (None, lambda: complex_of_code(generators.code_l26())),
+    "projective-plane": (None, generators.projective_plane),
 }
 
 
-def build_complex(cfg: RunConfig) -> SimplicialComplex:
-    sources = [
-        cfg.generator is not None,
-        cfg.code_file is not None,
-        cfg.complex_file is not None,
-        cfg.words is not None,
-    ]
-    if sum(sources) != 1:
+def build_complex(args: argparse.Namespace) -> SimplicialComplex:
+    sources = [args.generator, args.code_file, args.complex_file, args.words]
+    if sum(source is not None for source in sources) != 1:
         raise InputError(
             "pick exactly one input: --generator, --code-file, "
             "--complex-file, or --words"
         )
-    if cfg.generator is not None:
-        if cfg.generator == "random":
-            size = cfg.generator_args.get("n")
-            if size is None:
-                raise InputError("generator 'random' needs --n")
-            return generators.random_complex(
-                int(size),
-                cfg.generator_args.get("density", 0.5),
-                int(cfg.generator_args.get("seed", 0)),
-            )
-        if cfg.generator not in _GENERATORS:
-            known = ", ".join(sorted(_GENERATORS) + ["random"])
-            raise InputError(f"unknown generator {cfg.generator!r}; known: {known}")
-        param, make = _GENERATORS[cfg.generator]
-        if param is None:
-            return make(0)
-        value = cfg.generator_args.get(param)
-        if value is None:
-            raise InputError(f"generator {cfg.generator!r} needs --{param}")
-        return make(value)
-    if cfg.code_file is not None:
-        return complex_of_code(read_code(cfg.code_file))
-    if cfg.complex_file is not None:
-        return read_complex(cfg.complex_file)
-    assert cfg.words is not None
-    texts = [w for w in re.split(r"[,\s]+", " ".join(cfg.words)) if w]
-    return complex_of_code(Code.of(texts))
+    if args.code_file is not None:
+        return complex_of_code(read_code(args.code_file))
+    if args.complex_file is not None:
+        return read_complex(args.complex_file)
+    if args.words is not None:
+        # a brace set standing between separators is one word even though
+        # it holds commas; [^{}] keeps each scan from running past the
+        # next brace, so an unclosed "{" costs no backtracking
+        texts = re.findall(
+            r"(?<![^,\s])\{[^{}]*\}(?![^,\s])|[^,\s]+", " ".join(args.words)
+        )
+        return complex_of_code(Code.of(texts))
+    if args.generator == "random":
+        if args.n is None:
+            raise InputError("generator 'random' needs --n")
+        return generators.random_complex(args.n, args.density, args.seed)
+    if args.generator not in _GENERATORS:
+        known = ", ".join(sorted(_GENERATORS) + ["random"])
+        raise InputError(f"unknown generator {args.generator!r}; known: {known}")
+    dest, make = _GENERATORS[args.generator]
+    if dest is None:
+        return make()
+    value = getattr(args, dest)
+    if value is None:
+        raise InputError(f"generator {args.generator!r} needs --{dest}")
+    return make(value)
 
 
 def _witness_suffix(report, key: str) -> str:
@@ -89,10 +69,10 @@ def _witness_suffix(report, key: str) -> str:
     return f"   (step {w.i}, sigma {w.sigma.binary()})" if w else ""
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    d = build_complex(cfg)
-    report = full_report(d, PrimeField(cfg.field_char))
-    if cfg.output_format == "json":
+def cmd_analyze(args: argparse.Namespace) -> int:
+    d = build_complex(args)
+    report = full_report(d, PrimeField(args.field))
+    if args.format == "json":
         print(report_to_json(report))
         return 0
     print(f"field: {report.field}")
@@ -111,12 +91,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_betti(cfg: RunConfig) -> int:
-    d = build_complex(cfg)
-    table = hochster_table(d, PrimeField(cfg.field_char))
-    if cfg.output_format == "json":
+def cmd_betti(args: argparse.Namespace) -> int:
+    d = build_complex(args)
+    table = hochster_table(d, PrimeField(args.field))
+    if args.format == "json":
         print(table_to_json(table))
-    elif cfg.output_format == "m2":
+    elif args.format == "m2":
         print(table_to_m2(table))
     else:
         for i, sigma, beta in table.items():
@@ -150,17 +130,17 @@ def _add_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--generator", metavar="NAME",
                         help="named fixture: "
                              + ", ".join(sorted(_GENERATORS) + ["random"]))
-    parser.add_argument("--i", type=int, dest="gen_i", metavar="IDX",
+    parser.add_argument("--i", type=int, metavar="IDX",
                         help="cross-polytope / cone index")
-    parser.add_argument("--r", type=int, dest="gen_r", metavar="SIZE",
+    parser.add_argument("--r", type=int, metavar="SIZE",
                         help="bipartite side size")
-    parser.add_argument("--m", type=int, dest="gen_m", metavar="SIZE",
+    parser.add_argument("--m", type=int, metavar="SIZE",
                         help="hollow-simplex vertex count")
-    parser.add_argument("--n", type=int, dest="gen_n", metavar="SIZE",
+    parser.add_argument("--n", type=int, metavar="SIZE",
                         help="full-simplex or random-complex vertex count")
-    parser.add_argument("--density", type=float, dest="gen_density",
-                        metavar="D", help="random-complex face probability")
-    parser.add_argument("--seed", type=int, dest="gen_seed", metavar="S",
+    parser.add_argument("--density", type=float, default=0.5, metavar="D",
+                        help="random-complex face probability")
+    parser.add_argument("--seed", type=int, default=0, metavar="S",
                         help="random-complex seed")
     parser.add_argument("--code-file", metavar="PATH",
                         help="code file, one codeword per line")
@@ -168,23 +148,6 @@ def _add_inputs(parser: argparse.ArgumentParser) -> None:
                         help="complex file, one facet per line")
     parser.add_argument("--words", nargs="+", metavar="WORD",
                         help="inline codewords (binary or brace sets)")
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    gen_args = {
-        name: getattr(args, f"gen_{name}")
-        for name in ("i", "r", "m", "n", "density", "seed")
-        if getattr(args, f"gen_{name}", None) is not None
-    }
-    return RunConfig(
-        field_char=args.field,
-        output_format=getattr(args, "format", "text"),
-        generator=args.generator,
-        generator_args=gen_args,
-        code_file=args.code_file,
-        complex_file=args.complex_file,
-        words=tuple(args.words) if args.words else None,
-    )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -217,9 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "analyze":
-            return cmd_analyze(_config_from(args))
+            return cmd_analyze(args)
         if args.command == "betti":
-            return cmd_betti(_config_from(args))
+            return cmd_betti(args)
         return cmd_oracle_check(
             args.trials, args.vertices, args.seed, args.inject_corrupt
         )

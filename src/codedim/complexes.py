@@ -29,6 +29,13 @@ def _check_ambient(n: int) -> None:
         )
 
 
+def _excerpt(text: str, limit: int = 40) -> str:
+    """Quote outside input for an error message, cut to a bounded prefix."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} chars)"
+
+
 @dataclass(frozen=True, order=False)
 class VertexSet:
     """A subset of {1..n} as a fixed-width bit pattern."""
@@ -55,6 +62,7 @@ class VertexSet:
     @classmethod
     def of(cls, vertices: Iterable[int], n: int) -> "VertexSet":
         """Build from 1-based vertex labels."""
+        _check_ambient(n)  # before 1 << (v - 1), as in full()
         bits = 0
         for v in vertices:
             if not 1 <= v <= n:
@@ -65,40 +73,7 @@ class VertexSet:
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "VertexSet":
         """Parse ``"1100"`` (binary, leftmost = vertex 1) or ``"{1,2}"``."""
-        text = text.strip()
-        if text.startswith("{"):
-            if not text.endswith("}"):
-                raise InputError(f"unterminated brace set: {text!r}")
-            inner = text[1:-1].strip()
-            if inner:
-                try:
-                    vertices = [int(part) for part in inner.split(",")]
-                except ValueError:
-                    raise InputError(f"bad brace set: {text!r}") from None
-            else:
-                vertices = []
-            if n is None:
-                if not vertices:
-                    raise InputError(
-                        "cannot infer the ambient size from '{}'; declare n"
-                    )
-                n = max(vertices)
-            return cls.of(vertices, n)
-        if text and set(text) <= {"0", "1"}:
-            if n is not None and len(text) != n:
-                raise InputError(
-                    f"binary word {text!r} has length {len(text)}, expected {n}"
-                )
-            width = len(text)
-            bits = 0
-            for i, ch in enumerate(text):
-                if ch == "1":
-                    bits |= 1 << i
-            return cls(bits, n if n is not None else width)
-        raise InputError(f"cannot parse vertex set from {text!r}")
-
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
+        return parse_vertex_sets([text], n)[1][0]
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -123,9 +98,6 @@ class VertexSet:
 
     def __lt__(self, other: "VertexSet") -> bool:
         return self <= other and self.bits != other.bits
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self <= other
 
     def __and__(self, other: "VertexSet") -> "VertexSet":
         self._check_same_ambient(other)
@@ -172,11 +144,8 @@ class Code:
     @classmethod
     def of(cls, word_texts: Iterable[str], n: int | None = None) -> "Code":
         """Build from binary strings or brace sets; duplicates collapse."""
-        texts = list(word_texts)
-        if n is None:
-            n = _infer_ambient(texts)
-        words = frozenset(VertexSet.parse(t, n) for t in texts)
-        return cls(n, words)
+        n, words = parse_vertex_sets(word_texts, n)
+        return cls(n, frozenset(words))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -185,42 +154,61 @@ class Code:
         return word in self.words
 
 
-def _infer_ambient(texts: list[str]) -> int:
-    """Infer n from binary word lengths (must agree) or brace maxima."""
-    binary_lengths = set()
-    brace_max = 0
-    saw_any = False
-    for t in texts:
-        t = t.strip()
-        saw_any = True
-        if t.startswith("{"):
-            parsed = [p for p in t.strip("{}").split(",") if p.strip()]
+def parse_vertex_sets(
+    texts: Iterable[str], n: int | None = None
+) -> tuple[int, list[VertexSet]]:
+    """Read binary words (``"1100"``, leftmost = vertex 1) and brace sets.
+
+    Without n, the binary words fix it by their common width; with no
+    binary word, the largest brace label does.  n is checked against
+    AMBIENT_CAP before any bit is set, so an oversized word is refused
+    without being built.
+    """
+    words: list[str | list[int]] = []  # a binary word, or brace labels
+    widths: set[int] = set()
+    top = 0
+    for text in texts:
+        text = text.strip()
+        if text.startswith("{"):
+            if not text.endswith("}"):
+                raise InputError(f"unterminated brace set: {_excerpt(text)}")
+            inner = text[1:-1].strip()
             try:
-                labels = [int(p) for p in parsed]
+                labels = [int(part) for part in inner.split(",")] if inner else []
             except ValueError:
-                raise InputError(f"bad brace set: {t!r}") from None
-            if labels:
-                brace_max = max(brace_max, max(labels))
+                raise InputError(f"bad brace set: {_excerpt(text)}") from None
+            top = max([top, *labels])
+            words.append(labels)
+        elif text and set(text) <= {"0", "1"}:
+            widths.add(len(text))
+            words.append(text)
         else:
-            binary_lengths.add(len(t))
-    if len(binary_lengths) > 1:
-        raise InputError(
-            f"binary words of different lengths {sorted(binary_lengths)}; "
-            "declare n explicitly"
-        )
-    if binary_lengths:
-        n = binary_lengths.pop()
-        if brace_max > n:
+            raise InputError(f"cannot parse vertex set from {_excerpt(text)}")
+    if n is None:
+        if len(widths) > 1:
             raise InputError(
-                f"brace set mentions vertex {brace_max} but binary words "
-                f"fix n={n}"
+                f"binary words of different lengths {sorted(widths)}; "
+                "declare n explicitly"
             )
-        return n
-    if brace_max:
-        return brace_max
-    if not saw_any:
-        raise InputError("no vertex sets given and no n declared")
-    raise InputError("cannot infer the ambient size; declare n")
+        n = widths.pop() if widths else top
+        if not n:
+            raise InputError(
+                "cannot infer the ambient size; declare n"
+                if words
+                else "no vertex sets given and no n declared"
+            )
+    _check_ambient(n)
+    sets = []
+    for word in words:
+        if isinstance(word, list):
+            sets.append(VertexSet.of(word, n))
+        elif len(word) != n:
+            raise InputError(
+                f"binary word {_excerpt(word)} has length {len(word)}, expected {n}"
+            )
+        else:
+            sets.append(VertexSet(int(word[::-1], 2), n))
+    return n, sets
 
 
 @dataclass(frozen=True)

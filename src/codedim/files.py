@@ -1,10 +1,9 @@
 """Reading codes and complexes from text files.
 
-Grammar, shared by both formats: UTF-8, one vertex set per line as a
-binary word ("1100") or a brace set ("{1,2}"), '#' starts a comment,
-and the first non-comment line may declare "n=<int>".  Without the
-declaration, n is inferred from the binary word length (all words must
-agree) or from the largest brace element.
+Both formats are UTF-8 with one vertex set per line, '#' starts a
+comment, and the first non-comment line may declare "n=<int>".  The
+lines and the declared n go to ``complexes.parse_vertex_sets``, which
+holds the vertex-set grammar and infers n when none is declared.
 
 Empty inputs follow from what each format lists.  A code file lists
 every codeword, so "n=4" alone is the empty code: Delta(C) has no
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .complexes import Code, SimplicialComplex, VertexSet, _infer_ambient
+from .complexes import Code, SimplicialComplex, _excerpt, parse_vertex_sets
 from .errors import InputError
 
 
@@ -34,7 +33,7 @@ def _content_lines(text: str) -> tuple[int | None, list[str]]:
             try:
                 declared = int(line[2:])
             except ValueError:
-                raise InputError(f"bad ambient declaration {line!r}") from None
+                raise InputError(f"bad ambient declaration {_excerpt(line)}") from None
             continue
         lines.append(line)
     return declared, lines
@@ -51,22 +50,16 @@ def _read_text(path: str | Path) -> str:
         ) from None
 
 
-def parse_vertex_sets(text: str) -> tuple[int, list[VertexSet]]:
-    """Parse a file body into (n, vertex sets)."""
-    declared, lines = _content_lines(text)
-    n = declared if declared is not None else _infer_ambient(lines)
-    return n, [VertexSet.parse(line, n) for line in lines]
-
-
 def read_code(path: str | Path) -> Code:
     """A code file: one codeword per line."""
-    n, words = parse_vertex_sets(_read_text(path))
-    return Code(n, frozenset(words))
+    declared, lines = _content_lines(_read_text(path))
+    return Code.of(lines, declared)
 
 
 def read_complex(path: str | Path) -> SimplicialComplex:
     """A complex file: one facet per line (non-maximal lines are absorbed)."""
-    n, faces = parse_vertex_sets(_read_text(path))
+    declared, lines = _content_lines(_read_text(path))
+    n, faces = parse_vertex_sets(lines, declared)
     if not faces:
         return SimplicialComplex.irrelevant(n)
     return SimplicialComplex.from_faces(n, faces)

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -86,6 +88,14 @@ class TestAnalyze:
         )
         assert status == 0
         assert json.loads(out)["helly"] == 2  # hollow triangle
+
+    def test_inline_brace_sets_keep_their_commas(self, capsys):
+        _, binary, _ = run(capsys, "analyze", "--words", "110,101,011")
+        status, braces, _ = run(
+            capsys, "analyze", "--words", "{1, 2},{1,3}", "{2,3}"
+        )
+        assert status == 0
+        assert braces == binary
 
     def test_complex_file(self, capsys, tmp_path):
         path = tmp_path / "cx.txt"
@@ -197,6 +207,52 @@ class TestErrorPaths:
         status, _, err = run(capsys, "analyze")
         assert status == 2
         assert "exactly one input" in err
+
+    @pytest.mark.parametrize(
+        "word, limit",
+        [("{100000000}", 1 << 20), ("1" * 10**6, 64 << 10)],
+        ids=["brace-label", "binary-word"],
+    )
+    def test_oversized_word_is_refused_before_it_is_built(
+        self, capsys, word, limit
+    ):
+        # the first refusal in a process also imports argparse's locale
+        # support, so warm the error path before tracing
+        run(capsys, "analyze", "--words", "{25}")
+        tracemalloc.start()
+        try:
+            status = main(["analyze", "--words", word])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert "outside the allowed range 1..24" in capsys.readouterr().err
+        assert peak < limit
+
+    @pytest.mark.parametrize("flood", ["{ " * 10**5, "{," * 10**5])
+    def test_unclosed_braces_are_refused_quickly(self, capsys, flood):
+        start = time.perf_counter()
+        status, _, err = run(capsys, "analyze", "--words", flood)
+        assert time.perf_counter() - start < 1
+        assert status == 2
+        assert "unterminated brace set" in err
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [("{1,2}0011", "unterminated brace set"), ("{1}{2}", "bad brace set")],
+    )
+    def test_glued_brace_set_is_refused(self, capsys, words, message):
+        status, _, err = run(capsys, "analyze", "--words", words)
+        assert status == 2
+        assert message in err
+
+    def test_long_bad_line_gives_a_short_message(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("n=4\n" + "1" * 10**6 + "\n", encoding="utf-8")
+        status, _, err = run(capsys, "analyze", "--code-file", str(path))
+        assert status == 2
+        assert "(1000000 chars) has length 1000000, expected 4" in err
+        assert len(err) < 200
 
     def test_guard_refusal(self, capsys):
         status, _, err = run(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from codedim.complexes import (
     face_count_by_dimension,
     is_clique_complex,
     minimal_nonfaces,
+    parse_vertex_sets,
     restrict,
 )
 from codedim.errors import GuardError, InputError, VoidComplexError
@@ -70,6 +73,79 @@ class TestVertexSet:
     def test_mixed_ambients_rejected(self):
         with pytest.raises(InputError):
             vs("1100") <= vs("11000")
+
+    def test_of_checks_the_ambient_before_building_bits(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError):
+                VertexSet.of([10**8], 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestParseVertexSets:
+    @pytest.mark.parametrize(
+        "texts, n",
+        [
+            (["{1,2"], None),
+            (["{1,,2}"], None),
+            (["10x1"], None),
+            (["{}"], None),
+            (["{0}"], None),
+            (["{-1,3}"], None),
+            (["110", "1100"], None),
+            (["1100", "{5}"], None),
+            ([], None),
+            (["{99999999999}"], None),
+            (["1" * 30], None),
+            (["101"], 4),
+        ],
+    )
+    def test_malformed_words_raise_input_or_guard_errors(self, texts, n):
+        with pytest.raises((InputError, GuardError)):
+            parse_vertex_sets(texts, n)
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("{" + "1" * 10**6, None),
+            ("{" + "x" * 10**6 + "}", None),
+            ("x" * 10**6, None),
+            ("1" * 10**6, 4),
+        ],
+        ids=["unterminated", "bad-brace-set", "unparsable", "binary-length"],
+    )
+    def test_long_malformed_word_gives_a_short_message(self, text, n):
+        with pytest.raises(InputError) as excinfo:
+            parse_vertex_sets([text], n)
+        message = str(excinfo.value)
+        assert f"({len(text)} chars)" in message
+        assert len(message) < 200
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_both_spellings_parse_back(self, data):
+        n = data.draw(st.integers(1, 24))
+        sets = data.draw(
+            st.lists(
+                st.integers(0, (1 << n) - 1).map(lambda b: VertexSet(b, n)),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        for s in sets:
+            assert VertexSet.parse(s.binary()) == s
+            assert VertexSet.parse(s.braces(), n) == s
+        texts = [
+            s.binary() if data.draw(st.booleans()) else s.braces() for s in sets
+        ]
+        texts = data.draw(st.permutations(texts))
+        expected = Code(n, frozenset(sets))
+        assert Code.of(texts, n) == expected
+        if any(not t.startswith("{") for t in texts):
+            assert Code.of(texts) == expected
 
 
 class TestCode:
