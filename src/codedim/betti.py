@@ -198,8 +198,6 @@ def level_ranks(t: BettiTable) -> list[int]:
     totals = [0] * (t.max_step() + 1)
     for i, _, beta in t.items():
         totals[i] += beta
-    while len(totals) > 1 and totals[-1] == 0:
-        totals.pop()
     return totals
 
 

@@ -89,10 +89,10 @@ def leray_dimension_direct(
     Ranks every restriction that is not a face of d (a face restricts to
     a full simplex) and shares no pruning with the table route, so it
     cross-checks the table-driven value.  One Chain holds the whole
-    complex's boundary maps, and each restriction ranks the faces inside
-    it from the largest face size it can hold down, stopping at its first
-    nonzero degree or at the best degree found so far, since lower
-    degrees cannot raise the maximum.
+    complex's boundary maps, and each restriction reads its homology
+    from the top degree down, stopping at its first nonzero degree or at
+    the best degree found so far, since lower degrees cannot raise the
+    maximum.
     """
     if d.is_void:
         raise VoidComplexError("the void complex has no dimension bounds")
@@ -103,13 +103,10 @@ def leray_dimension_direct(
     chain = Chain(faces, d.n, field)
     best = -1
     for sigma in restriction_subsets(d.n, faces):
-        above = 0
-        # H~_{c-1} = |faces of size c| - rank d_c - rank d_{c+1}
-        for c, inside, rank in chain.ranks(sigma, best + 1):
-            if len(inside) != rank + above:
-                best = c - 1
+        for k, dim in chain.homology(sigma, best):
+            if dim:
+                best = k
                 break
-            above = rank
     return best + 1 if best >= 0 else 0
 
 

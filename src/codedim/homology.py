@@ -13,7 +13,8 @@ the sparse column reduction of `linalg.rank_array`.  A chain builds a
 face set's boundary maps once; a vertex subset sigma then selects the
 faces inside it, whose boundary faces all lie inside it too, so every
 dropped entry of a kept column is zero and the ranks are those of the
-induced subcomplex on sigma.
+induced subcomplex on sigma.  `Chain.homology` is the one place that
+turns those ranks into homology dimensions.
 """
 
 from __future__ import annotations
@@ -183,33 +184,20 @@ def chain_data(face_bits: Iterable[int]) -> tuple[list[np.ndarray], list[np.ndar
     return by_card, boundaries
 
 
-def profile_from_counts_and_ranks(
-    counts: Sequence[int], ranks: Sequence[int], field: PrimeField
-) -> ReducedHomologyProfile:
-    """H~_{c-1} = dim C_c - rank d_c - rank d_{c+1} for each cardinality c."""
-    dims: dict[int, int] = {}
-    top = len(counts) - 1
-    for c in range(top + 1):
-        above = ranks[c + 1] if c + 1 <= top else 0
-        value = counts[c] - ranks[c] - above
-        if value:
-            dims[c - 1] = value
-    return ReducedHomologyProfile(dims, field)
-
-
 class Chain:
-    """A face set's boundary maps, built once, ranked on the faces inside any sigma.
+    """A face set's boundary maps, built once, giving the homology inside any sigma.
 
-    Over GF(2) the maps are packed columns (`packed_chain`), reduced from
-    the top cardinality down, each map clearing the columns that the map
-    above names as pivot rows.  At odd p they are dense int8 matrices
-    (`chain_data`), sliced to the faces inside sigma and ranked without
-    clearing by `rank_array`, which reduces the slice's nonzeros as
-    sparse columns, or by ``rank`` when a caller passes its own binding
-    of it.  The face masks of a `FaceSelector` are built at the
-    first proper subset, so a whole-set profile builds none.  Raises
-    GuardError before building anything when the maps would exceed
-    MAX_BOUNDARY_CELLS.
+    `homology` yields the degrees from the top down, each from the ranks
+    of the two maps around it.  Over GF(2) the maps are packed columns
+    (`packed_chain`), reduced from the top cardinality down, each map
+    clearing the columns that the map above names as pivot rows.  At odd
+    p they are dense int8 matrices (`chain_data`), sliced to the faces
+    inside sigma and ranked without clearing by `rank_array`, which
+    reduces the slice's nonzeros as sparse columns, or by ``rank`` when a
+    caller passes its own binding of it.  The face masks of a
+    `FaceSelector` are built at the first proper subset, so a whole-set
+    profile builds none.  Raises GuardError before building anything
+    when the maps would exceed MAX_BOUNDARY_CELLS.
     """
 
     __slots__ = ("field", "by_card", "_maps", "_rank", "_n", "_vertices", "_select")
@@ -240,40 +228,42 @@ class Chain:
             self._select = FaceSelector(self.by_card, self._n)
         return self._select.inside(c, sigma)
 
-    def ranks(self, sigma: int, stop: int = 0) -> Iterator[tuple[int, list[int], int]]:
-        """(c, faces of cardinality c inside sigma, rank of d_c on them) for c > stop.
+    def homology(self, sigma: int, floor: int = -2) -> Iterator[tuple[int, int]]:
+        """(k, dim H~_k of the faces inside sigma) for each degree k > floor.
 
-        Runs from the largest cardinality sigma can hold down, so a
-        caller that has seen enough can stop early.
+        H~_{c-1} = |faces of cardinality c| - rank d_c - rank d_{c+1}, with
+        the empty face at c = 0.  Degrees run from the largest face sigma
+        can hold down, so a caller that has seen enough can stop early.
         """
         top = min(len(self.by_card) - 1, sigma.bit_count())
+        stop = floor + 1 if floor >= 0 else 0
+        above = 0  # rank of d_{c+1}
         if self.field.p == 2:
-            above: Container[int] = ()
+            pivots: Container[int] = ()
             for c in range(top, stop, -1):
                 inside = self._inside(c, sigma)
-                above = reduce_gf2(self._maps[c], inside, above)
-                yield c, inside, len(above)
-            return
-        rows = self._inside(top, sigma) if top > stop else []
-        for c in range(top, stop, -1):
-            cols, rows = rows, self._inside(c - 1, sigma)
-            if not cols:
-                yield c, cols, 0
-                continue
-            yield c, cols, self._rank(self._maps[c][np.ix_(rows, cols)], self.field.p)
+                pivots = reduce_gf2(self._maps[c], inside, pivots)
+                yield c - 1, len(inside) - len(pivots) - above
+                above = len(pivots)
+        else:
+            rows = self._inside(top, sigma) if top > stop else []
+            for c in range(top, stop, -1):
+                cols, rows = rows, self._inside(c - 1, sigma)
+                rank = 0
+                if cols:
+                    rank = self._rank(self._maps[c][np.ix_(rows, cols)], self.field.p)
+                yield c - 1, len(cols) - rank - above
+                above = rank
+        if floor < -1 and top >= 0:
+            # The empty face lies inside every sigma.
+            yield -1, len(self.by_card[0]) - above
 
     def profile(self, sigma: int | None = None) -> ReducedHomologyProfile:
         """Reduced homology of the faces inside sigma, of all of them by default."""
         if sigma is None:
             sigma = self._vertices
-        top = min(len(self.by_card) - 1, sigma.bit_count())
-        # The empty face lies inside every sigma.
-        counts = [len(bucket) for bucket in self.by_card[:1]] + [0] * top
-        ranks = [0] * (top + 1)
-        for c, inside, rank in self.ranks(sigma):
-            counts[c] = len(inside)
-            ranks[c] = rank
-        return profile_from_counts_and_ranks(counts, ranks, self.field)
+        dims = {k: dim for k, dim in self.homology(sigma) if dim}
+        return ReducedHomologyProfile(dims, self.field)
 
 
 def profile_of_face_bits(

@@ -80,6 +80,12 @@ def run_oracle_suite(
     summary = OracleSummary(trials=trials, passes={name: 0 for name in CHECK_NAMES})
     gf2 = PrimeField(2)
 
+    def record(check: str, passed: bool, failure: str) -> None:
+        if passed:
+            summary.passes[check] += 1
+        else:
+            summary.failures.append(f"{label}: {failure}")
+
     for t in range(trials):
         d = random_complex(n, _DENSITIES[t % len(_DENSITIES)], seed + t)
         label = f"trial {t} (seed {seed + t})"
@@ -90,59 +96,50 @@ def run_oracle_suite(
         leray, _ = leray_dimension(table)
         helly, _ = helly_dimension(table)
         hom_betti, _ = hom_dimension_betti(table)
-        if leray >= helly and leray >= hom_betti:
-            summary.passes["bound-ordering"] += 1
-        else:
-            summary.failures.append(
-                f"{label}: ordering broken: {leray} vs {helly}, {hom_betti}"
-            )
+        record(
+            "bound-ordering",
+            leray >= helly and leray >= hom_betti,
+            f"ordering broken: {leray} vs {helly}, {hom_betti}",
+        )
 
         helly_direct = helly_dimension_direct(d)
         agreed = helly == helly_direct
         for p in _PRIMES[1:]:
             other, _ = helly_dimension(hochster_table(d, PrimeField(p)))
             agreed = agreed and other == helly_direct
-        if agreed:
-            summary.passes["helly-direct"] += 1
-        else:
-            summary.failures.append(
-                f"{label}: step-1 maximum disagrees with minimal nonfaces"
-            )
+        record(
+            "helly-direct", agreed, "step-1 maximum disagrees with minimal nonfaces"
+        )
 
         step_one = {
             sigma: beta for i, sigma, beta in table.items() if i == 1
         }
-        nonfaces = minimal_nonfaces(d)
-        if set(step_one) == set(nonfaces) and all(
-            b == 1 for b in step_one.values()
-        ):
-            summary.passes["step-one-generators"] += 1
-        else:
-            summary.failures.append(
-                f"{label}: step-1 gradings are not the minimal nonfaces"
-            )
+        record(
+            "step-one-generators",
+            set(step_one) == set(minimal_nonfaces(d))
+            and all(b == 1 for b in step_one.values()),
+            "step-1 gradings are not the minimal nonfaces",
+        )
 
         bad_sigma = _euler_mismatch(d, gf2)
-        if bad_sigma is None:
-            summary.passes["euler"] += 1
-        else:
-            summary.failures.append(
-                f"{label}: Euler identity fails on subset {bad_sigma:0{n}b}"
-            )
+        record(
+            "euler",
+            bad_sigma is None,
+            # The message is read only when bad_sigma is a subset.
+            f"Euler identity fails on subset {bad_sigma or 0:0{n}b}",
+        )
 
-        if is_clique_complex(d) == (helly <= 1):
-            summary.passes["clique-iff-helly"] += 1
-        else:
-            summary.failures.append(
-                f"{label}: clique-complex test disagrees with helly {helly}"
-            )
+        record(
+            "clique-iff-helly",
+            is_clique_complex(d) == (helly <= 1),
+            f"clique-complex test disagrees with helly {helly}",
+        )
 
-        if leray == leray_dimension_direct(d, gf2):
-            summary.passes["leray-direct"] += 1
-        else:
-            summary.failures.append(
-                f"{label}: restriction maximum disagrees with table value {leray}"
-            )
+        record(
+            "leray-direct",
+            leray == leray_dimension_direct(d, gf2),
+            f"restriction maximum disagrees with table value {leray}",
+        )
 
     return summary
 

@@ -31,9 +31,11 @@ from codedim.generators import (
     projective_plane,
     random_complex,
 )
-from codedim.homology import chain_data, profile_from_counts_and_ranks
+from codedim.homology import chain_data
 from codedim.linalg import PrimeField, rank_array
 from codedim.oracle import _DENSITIES
+
+from test_homology import profile_from_counts_and_ranks
 
 GF2 = PrimeField(2)
 
@@ -241,6 +243,24 @@ class TestSerialization:
             with pytest.raises(InputError):
                 table_from_json(text)
 
+    @pytest.mark.parametrize(
+        "text, direct",
+        [
+            ('{"n": 1, "field": 4, "entries": []}', lambda: PrimeField(4)),
+            (
+                '{"n": 2, "field": 2, "entries": [{"i": 0, "sigma": "1x", "beta": 1}]}',
+                lambda: VertexSet.parse("1x", 2),
+            ),
+        ],
+        ids=["field-4", "bad-sigma"],
+    )
+    def test_json_passes_input_errors_through(self, text, direct):
+        with pytest.raises(InputError) as expected:
+            direct()
+        with pytest.raises(InputError) as raised:
+            table_from_json(text)
+        assert str(raised.value) == str(expected.value)
+
     def test_m2_block_for_cone_over_square(self):
         table = hochster_table(cone_of_cross_polytope(1), GF2)
         lines = table_to_m2(table).splitlines()
@@ -267,6 +287,16 @@ class TestTableValidation:
         with pytest.raises(InputError):
             BettiTable(
                 2, GF2, {(0, VertexSet.empty(2)): 1, (3, VertexSet.full(2)): 1}
+            )
+
+    def test_rejects_a_grading_on_another_ambient(self):
+        with pytest.raises(InputError, match="ambient"):
+            BettiTable(2, GF2, {(0, VertexSet.empty(2)): 1, (1, VertexSet(1, 3)): 1})
+
+    def test_rejects_a_nonzero_step_on_the_empty_grading(self):
+        with pytest.raises(InputError, match="empty grading"):
+            BettiTable(
+                2, GF2, {(0, VertexSet.empty(2)): 1, (1, VertexSet.empty(2)): 1}
             )
 
 

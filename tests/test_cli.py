@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import codedim.dimensions as dimensions
 from codedim.cli import main
 
 L26_FILE = """# the 14-word code on four neurons
@@ -202,6 +203,18 @@ class TestErrorPaths:
         status, _, err = run(capsys, "analyze", "--generator", "cone")
         assert status == 2
         assert "--i" in err
+
+    def test_random_generator_needs_a_size(self, capsys):
+        status, _, err = run(capsys, "analyze", "--generator", "random")
+        assert status == 2
+        assert "needs --n" in err
+
+    def test_consistency_error_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(dimensions, "leray_dimension_direct", lambda d, field: 99)
+        status, out, err = run(capsys, "analyze", "--generator", "octahedron")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("internal consistency error")
 
     def test_no_input_selected(self, capsys):
         status, _, err = run(capsys, "analyze")

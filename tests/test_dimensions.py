@@ -22,7 +22,12 @@ from codedim.dimensions import (
     leray_dimension_direct,
     report_to_json,
 )
-from codedim.errors import ConsistencyError, GuardError, InputError
+from codedim.errors import (
+    ConsistencyError,
+    GuardError,
+    InputError,
+    VoidComplexError,
+)
 from codedim.generators import (
     complete_bipartite_clique,
     cone_of_cross_polytope,
@@ -266,6 +271,10 @@ class TestLerayDimension:
     def test_direct_single_vertex(self):
         assert leray_dimension_direct(full_simplex(1), GF2) == 0
 
+    def test_direct_route_refuses_the_void_complex(self):
+        with pytest.raises(VoidComplexError):
+            leray_dimension_direct(SimplicialComplex.void(3))
+
     def test_direct_route_refuses_before_enumerating(self, monkeypatch):
         def enumerate_faces(self):
             raise AssertionError("faces enumerated past the sweep guard")
@@ -375,6 +384,20 @@ class TestFullReport:
             dimensions_module, "helly_dimension_direct", lambda d: 99
         )
         with pytest.raises(ConsistencyError):
+            full_report(cross_polytope(1), GF2)
+
+    def test_leray_disagreement_is_fatal(self, monkeypatch):
+        monkeypatch.setattr(
+            dimensions_module, "leray_dimension_direct", lambda d, field: 99
+        )
+        with pytest.raises(ConsistencyError, match="restriction-homology maximum 99"):
+            full_report(cross_polytope(1), GF2)
+
+    def test_bound_ordering_violation_is_fatal(self, monkeypatch):
+        monkeypatch.setattr(
+            dimensions_module, "hom_dimension_betti", lambda t: (99, None)
+        )
+        with pytest.raises(ConsistencyError, match="bound ordering violated"):
             full_report(cross_polytope(1), GF2)
 
     def test_json_is_canonical(self):

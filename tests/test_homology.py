@@ -17,10 +17,10 @@ from codedim.generators import (
 from codedim.dimensions import leray_dimension_direct
 from codedim.homology import (
     PrimeField,
+    ReducedHomologyProfile,
     chain_data,
     induced_restrictions,
     packed_chain,
-    profile_from_counts_and_ranks,
     profile_of_face_bits,
     reduced_homology,
     top_nonzero_degree,
@@ -32,6 +32,22 @@ from codedim.oracle import _DENSITIES
 from test_linalg import sympy_rank
 
 GF2 = PrimeField(2)
+
+
+def profile_from_counts_and_ranks(counts, ranks, field):
+    """H~_{c-1} = dim C_c - rank d_c - rank d_{c+1} for each cardinality c.
+
+    The references below do this arithmetic here, apart from
+    `Chain.homology`, which they check.
+    """
+    dims = {}
+    top = len(counts) - 1
+    for c in range(top + 1):
+        above = ranks[c + 1] if c + 1 <= top else 0
+        value = counts[c] - ranks[c] - above
+        if value:
+            dims[c - 1] = value
+    return ReducedHomologyProfile(dims, field)
 
 
 def sympy_profile_gf2(face_bits):
