@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
-from .errors import GuardError, InputError, VoidComplexError
+from .errors import GuardError, InputError
 from .homology import Chain
 from .linalg import PrimeField, rank_array
 
@@ -153,10 +153,6 @@ def subset_homology_profiles(
     order.  The subsets skipped are cones and have no reduced homology.
     A table needs every degree, so nothing stops early.
     """
-    if d.is_void:
-        raise VoidComplexError(
-            "void complex has no Stanley-Reisner presentation in this tool"
-        )
     ensure_sweepable(d)
     lattice = sorted(lcm_lattice(d))
     # The last element is the union of all minimal nonfaces; no visited

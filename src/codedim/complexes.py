@@ -215,14 +215,14 @@ def parse_vertex_sets(
 class SimplicialComplex:
     """A downward-closed face family on {1..n}, stored by its facets.
 
-    The facets never include the empty set; the irrelevant complex {0}
-    has no facets but ``contains_empty_face`` True, while the void
-    complex (no faces at all) has the flag False.
+    Every complex contains the empty face, so the facets never list it
+    and the irrelevant complex {0} is the one with no facets.  The void
+    complex, with no faces at all, has no Stanley-Reisner resolution;
+    from_faces refuses it, so it is never built.
     """
 
     n: int
     facets: frozenset[VertexSet]
-    contains_empty_face: bool = True
 
     def __post_init__(self) -> None:
         _check_ambient(self.n)
@@ -231,8 +231,6 @@ class SimplicialComplex:
                 raise InputError(f"facet on {f.n} vertices in ambient {self.n}")
             if not f:
                 raise InputError("facets must be nonempty; use from_faces()")
-        if self.facets and not self.contains_empty_face:
-            raise InputError("a complex with faces always contains the empty face")
 
     @classmethod
     def from_faces(
@@ -244,43 +242,32 @@ class SimplicialComplex:
             key=lambda b: (b.bit_count(), b),
             reverse=True,
         )
+        if not bit_faces:
+            raise VoidComplexError(
+                f"no faces on {n} vertices, not even the empty one: the void "
+                "complex has no Stanley-Reisner resolution"
+            )
         maximal: list[int] = []
         for b in bit_faces:
             if not any(b & ~m == 0 for m in maximal):
                 maximal.append(b)
-        if not bit_faces:
-            return cls(n, frozenset(), contains_empty_face=False)
-        if maximal == [0]:
-            return cls.irrelevant(n)
         return cls(n, frozenset(VertexSet(b, n) for b in maximal if b))
 
     @classmethod
-    def void(cls, n: int) -> "SimplicialComplex":
-        return cls(n, frozenset(), contains_empty_face=False)
-
-    @classmethod
     def irrelevant(cls, n: int) -> "SimplicialComplex":
-        return cls(n, frozenset(), contains_empty_face=True)
+        return cls(n, frozenset())
 
     @classmethod
     def full_simplex(cls, n: int) -> "SimplicialComplex":
         return cls(n, frozenset({VertexSet.full(n)}))
 
-    @property
-    def is_void(self) -> bool:
-        return not self.facets and not self.contains_empty_face
-
     def __contains__(self, face: VertexSet) -> bool:
         if face.n != self.n:
             raise InputError(f"face on {face.n} vertices in ambient {self.n}")
-        if not face:
-            return self.contains_empty_face
-        return any(face.bits & ~f.bits == 0 for f in self.facets)
+        return not face or any(face.bits & ~f.bits == 0 for f in self.facets)
 
     def dimension(self) -> int:
         """Max face dimension; -1 for the irrelevant complex."""
-        if self.is_void:
-            raise VoidComplexError("the void complex has no dimension")
         return max((len(f) for f in self.facets), default=0) - 1
 
     def faces(self) -> Iterator[VertexSet]:
@@ -289,8 +276,6 @@ class SimplicialComplex:
             yield VertexSet(b, self.n)
 
     def _face_bits(self) -> set[int]:
-        if self.is_void:
-            return set()
         seen = {0}
         for f in self.facets:
             sub = f.bits
@@ -309,11 +294,8 @@ def restrict(d: SimplicialComplex, s: VertexSet) -> SimplicialComplex:
     """Induced subcomplex on s: the faces of d contained in s."""
     if s.n != d.n:
         raise InputError(f"restriction set on {s.n} vertices, complex on {d.n}")
-    if not d.facets:
-        return d  # void and irrelevant complexes restrict to themselves
-    return SimplicialComplex.from_faces(
-        d.n, (VertexSet(f.bits & s.bits, d.n) for f in d.facets)
-    )
+    # The empty face stays a face of every restriction.
+    return SimplicialComplex.from_faces(d.n, [0, *(f.bits & s.bits for f in d.facets)])
 
 
 def minimal_nonfaces(d: SimplicialComplex) -> frozenset[VertexSet]:
@@ -322,28 +304,22 @@ def minimal_nonfaces(d: SimplicialComplex) -> frozenset[VertexSet]:
     These are the exponent sets of the minimal generators of the
     Stanley-Reisner ideal of d.
     """
-    if d.is_void:
-        raise VoidComplexError(
-            "void complex has no Stanley-Reisner presentation in this tool"
-        )
     face_bits = d._face_bits()
     found: set[int] = set()
-    for v in range(d.n):
-        if (1 << v) not in face_bits:
-            found.add(1 << v)
+    # The empty face's candidates are the missing vertices.  A candidate is
+    # a minimal nonface when dropping any one of its own vertices leaves a face.
     for face in face_bits:
         for v in range(d.n):
-            vb = 1 << v
-            if face & vb:
-                continue
-            cand = face | vb
+            cand = face | 1 << v
             if cand in face_bits or cand in found:
                 continue
-            if all(
-                cand ^ (1 << u) in face_bits
-                for u in range(d.n)
-                if cand >> u & 1
-            ):
+            rest = cand
+            while rest:
+                low = rest & -rest
+                if cand ^ low not in face_bits:
+                    break
+                rest ^= low
+            else:
                 found.add(cand)
     return frozenset(VertexSet(b, d.n) for b in found)
 
@@ -402,8 +378,6 @@ def _maximal_cliques(n: int, adjacency: list[int]) -> list[int]:
 
 def face_count_by_dimension(d: SimplicialComplex) -> list[int]:
     """Counts [c_-1, c_0, ..., c_dim] of faces by dimension."""
-    if d.is_void:
-        raise VoidComplexError("the void complex has no faces to count")
     counts = [0] * (d.dimension() + 2)
     for b in d._face_bits():
         counts[b.bit_count()] += 1

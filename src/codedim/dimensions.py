@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .betti import BettiTable, ensure_sweepable, hochster_table
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
-from .errors import ConsistencyError, InputError, VoidComplexError
+from .errors import ConsistencyError, InputError
 from .homology import (
     Chain,
     PrimeField,
@@ -94,8 +94,6 @@ def leray_dimension_direct(
     the best degree found so far, since lower degrees cannot raise the
     maximum.
     """
-    if d.is_void:
-        raise VoidComplexError("the void complex has no dimension bounds")
     ensure_sweepable(d)
     if any(f.bits == (1 << d.n) - 1 for f in d.facets):
         return 0  # every subset lies inside this facet
@@ -120,7 +118,7 @@ def hom_dimension_unreduced(
 ) -> int:
     """Top degree of ordinary homology plus one; >= 1 on nonempty complexes."""
     if not d.facets:
-        raise InputError("the complex has no vertices; ordinary homology is void")
+        raise InputError("the irrelevant complex has no vertices")
     return top_nonzero_degree(unreduced_homology(d, field), -1) + 1
 
 

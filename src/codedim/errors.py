@@ -14,7 +14,11 @@ class GuardError(CodedimError):
 
 
 class VoidComplexError(CodedimError):
-    """An operation that needs at least the empty face met the void complex."""
+    """No face at all, not even the empty one: the void complex.
+
+    Every complex contains the empty face, so from_faces refuses the void
+    complex where it would be built and no other operation meets it.
+    """
 
 
 class ConsistencyError(CodedimError):

@@ -6,19 +6,19 @@ lines and the declared n go to ``complexes.parse_vertex_sets``, which
 holds the vertex-set grammar and infers n when none is declared.
 
 Empty inputs follow from what each format lists.  A code file lists
-every codeword, so "n=4" alone is the empty code: Delta(C) has no
-faces at all, the void complex, which the sweeps refuse (the CLI exits
-2).  A complex file lists the nonempty facets, so "n=4" alone is the
-irrelevant complex {0}, whose only face is the empty one (the CLI exits
-0).  A file that cannot be read, or is not UTF-8, raises InputError
-naming its path.
+every codeword, so "n=4" alone is the empty code: Delta(C) would have
+no faces at all, not even the empty one, and building it raises
+VoidComplexError (the CLI exits 2).  A complex file lists the nonempty
+facets, and every complex contains the empty face, so "n=4" alone is
+the irrelevant complex {0} (the CLI exits 0).  A file that cannot be
+read, or is not UTF-8, raises InputError naming its path.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .complexes import Code, SimplicialComplex, _excerpt, parse_vertex_sets
+from .complexes import Code, SimplicialComplex, VertexSet, _excerpt, parse_vertex_sets
 from .errors import InputError
 
 
@@ -60,6 +60,4 @@ def read_complex(path: str | Path) -> SimplicialComplex:
     """A complex file: one facet per line (non-maximal lines are absorbed)."""
     declared, lines = _content_lines(_read_text(path))
     n, faces = parse_vertex_sets(lines, declared)
-    if not faces:
-        return SimplicialComplex.irrelevant(n)
-    return SimplicialComplex.from_faces(n, faces)
+    return SimplicialComplex.from_faces(n, [VertexSet.empty(n), *faces])

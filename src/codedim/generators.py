@@ -51,11 +51,9 @@ def cone(d: SimplicialComplex) -> SimplicialComplex:
     """Join a fresh top-numbered vertex to every face of d."""
     n = d.n + 1
     apex = 1 << d.n
-    if d.is_void:
-        return SimplicialComplex.void(n)
-    if not d.facets:
-        return SimplicialComplex.from_faces(n, [apex])
-    return SimplicialComplex.from_faces(n, (f.bits | apex for f in d.facets))
+    # The apex joined to d's empty face is a face too; it is the only
+    # facet of the cone over the irrelevant complex.
+    return SimplicialComplex.from_faces(n, [apex, *(f.bits | apex for f in d.facets)])
 
 
 def cone_of_cross_polytope(i: int) -> SimplicialComplex:

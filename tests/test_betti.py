@@ -114,8 +114,9 @@ class TestHochsterTable:
         assert entries_of(table) == {(0, "000"): 1}
 
     def test_void_complex_refused(self):
+        # no void complex reaches the table: from_faces refuses it
         with pytest.raises(VoidComplexError):
-            hochster_table(SimplicialComplex.void(3), GF2)
+            SimplicialComplex.from_faces(3, [])
 
     def test_guard_refusal_mentions_subset_count(self):
         with pytest.raises(GuardError, match="2097152"):

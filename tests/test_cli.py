@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,27 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def readme_commands():
+    """The `codedim ...` lines of README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S)
+    lines = block.group(1).splitlines() if block else []
+    return [line for line in lines if line.startswith("codedim ")]
+
+
+class TestReadmeCommands:
+    def test_block_is_found(self):
+        assert len(readme_commands()) >= 5
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_documented_command_runs(self, capsys, tmp_path, monkeypatch, command):
+        (tmp_path / "examples.txt").write_text(L26_FILE, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        status, out, err = run(capsys, *shlex.split(command)[1:])
+        assert status == 0, err
+        assert out.strip()
 
 
 class TestAnalyze:

@@ -17,10 +17,15 @@ from codedim.complexes import (
     restrict,
 )
 from codedim.errors import GuardError, InputError, VoidComplexError
+from codedim.files import read_code
 from codedim.generators import (
+    complete_bipartite_clique,
+    cone,
+    cone_of_cross_polytope,
     cross_polytope,
     hollow_simplex,
     code_l26,
+    projective_plane,
     random_complex,
 )
 
@@ -170,17 +175,29 @@ class TestComplexOfCode:
     def test_empty_word_only_gives_irrelevant_complex(self):
         d = complex_of_code(Code.of(["{}"], n=3))
         assert not d.facets
-        assert d.contains_empty_face
-        assert not d.is_void
+        assert d == SimplicialComplex.irrelevant(3)
 
     def test_maximal_word_extraction(self):
         d = complex_of_code(Code.of(["1100", "1000", "0100", "0000"]))
         assert {f.binary() for f in d.facets} == {"1100"}
 
-    def test_empty_code_gives_void(self):
-        d = complex_of_code(Code(3, frozenset()))
-        assert d.is_void
-        assert VertexSet.empty(3) not in d
+    def test_empty_code_gives_void(self, tmp_path):
+        # the void complex is refused where it would be built
+        with pytest.raises(VoidComplexError, match="void"):
+            complex_of_code(Code(3, frozenset()))
+        path = tmp_path / "code.txt"
+        path.write_text("n=4\n", encoding="utf-8")
+        with pytest.raises(VoidComplexError, match="void"):
+            complex_of_code(read_code(path))
+
+    def test_irrelevant_complex_still_built(self):
+        irrelevant = SimplicialComplex.irrelevant(4)
+        assert SimplicialComplex.from_faces(4, [0]) == irrelevant
+        assert restrict(cross_polytope(1), VertexSet.empty(4)) == irrelevant
+        assert restrict(irrelevant, VertexSet.empty(4)) == irrelevant
+        assert VertexSet.empty(4) in irrelevant
+        assert irrelevant.dimension() == -1
+        assert cone(irrelevant) == SimplicialComplex.from_faces(5, [0b10000])
 
     def test_every_word_is_a_face(self):
         code = code_l26()
@@ -235,8 +252,9 @@ class TestMinimalNonfaces:
         assert {s.binary() for s in minimal_nonfaces(d)} == {"1101"}
 
     def test_void_complex_refused(self):
+        # no void complex reaches minimal_nonfaces: from_faces refuses it
         with pytest.raises(VoidComplexError, match="Stanley-Reisner"):
-            minimal_nonfaces(SimplicialComplex.void(3))
+            SimplicialComplex.from_faces(3, iter(()))
 
     def test_missing_vertex_is_degree_one_generator(self):
         d = SimplicialComplex.from_faces(3, [0b011])
@@ -257,9 +275,17 @@ class TestMinimalNonfaces:
                 assert a == b or not a <= b
 
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_complete_against_brute_force_scan(self, n):
+        fixtures = [
+            complete_bipartite_clique(4),
+            cone_of_cross_polytope(4),
+            cross_polytope(5),
+            projective_plane(),
+            hollow_simplex(6),
+        ]
         cases = [SimplicialComplex.irrelevant(n)]
+        cases += [d for d in fixtures if d.n == n]
         for seed in range(12):
             d = random_complex(n, (0.15, 0.4, 0.7)[seed % 3], seed)
             cases.append(d)

@@ -272,8 +272,9 @@ class TestLerayDimension:
         assert leray_dimension_direct(full_simplex(1), GF2) == 0
 
     def test_direct_route_refuses_the_void_complex(self):
+        # no void complex reaches the direct route: from_faces refuses it
         with pytest.raises(VoidComplexError):
-            leray_dimension_direct(SimplicialComplex.void(3))
+            SimplicialComplex.from_faces(3, [])
 
     def test_direct_route_refuses_before_enumerating(self, monkeypatch):
         def enumerate_faces(self):

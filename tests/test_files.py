@@ -1,6 +1,6 @@
 import pytest
 
-from codedim.complexes import VertexSet
+from codedim.complexes import SimplicialComplex, VertexSet
 from codedim.errors import InputError
 from codedim.files import read_code, read_complex
 
@@ -69,4 +69,4 @@ class TestComplexFiles:
     def test_no_facets_gives_irrelevant_complex(self, tmp_path):
         d = read_complex(write(tmp_path, "n=3\n"))
         assert not d.facets
-        assert d.contains_empty_face
+        assert d == SimplicialComplex.irrelevant(3)

@@ -2,8 +2,14 @@ import pytest
 
 from codedim import homology
 from codedim.betti import hochster_table
-from codedim.complexes import SimplicialComplex, VertexSet, restrict
-from codedim.errors import GuardError
+from codedim.complexes import (
+    Code,
+    SimplicialComplex,
+    VertexSet,
+    complex_of_code,
+    restrict,
+)
+from codedim.errors import GuardError, VoidComplexError
 from codedim.generators import (
     complete_bipartite_clique,
     cone,
@@ -78,7 +84,9 @@ class TestReducedHomology:
             assert reduced_homology(cone(d), GF2).is_trivial
 
     def test_void_complex(self):
-        assert reduced_homology(SimplicialComplex.void(3), GF2).dims == {}
+        # no void complex reaches the chain: from_faces refuses it
+        with pytest.raises(VoidComplexError):
+            SimplicialComplex.from_faces(3, [])
 
     def test_irrelevant_complex_has_degree_minus_one(self):
         assert reduced_homology(SimplicialComplex.irrelevant(3), GF2).dims == {-1: 1}
@@ -249,7 +257,8 @@ class TestUnreducedHomology:
         assert unreduced_homology(cross_polytope(2), GF2).dims == {0: 1, 2: 1}
 
     def test_empty_complexes_have_no_homology(self):
-        assert unreduced_homology(SimplicialComplex.void(3), GF2).dims == {}
+        with pytest.raises(VoidComplexError):
+            complex_of_code(Code(3, frozenset()))
         assert unreduced_homology(SimplicialComplex.irrelevant(3), GF2).dims == {}
 
 
