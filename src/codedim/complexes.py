@@ -10,6 +10,8 @@ against the facets, never a full enumeration of 2^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import GuardError, InputError, VoidComplexError
@@ -215,10 +217,13 @@ def parse_vertex_sets(
 class SimplicialComplex:
     """A downward-closed face family on {1..n}, stored by its facets.
 
-    Every complex contains the empty face, so the facets never list it
-    and the irrelevant complex {0} is the one with no facets.  The void
-    complex, with no faces at all, has no Stanley-Reisner resolution;
-    from_faces refuses it, so it is never built.
+    The constructor takes VertexSets on n or int bit patterns, refuses a
+    VertexSet on another ambient and keeps exactly the maximal nonempty
+    ones, so equal complexes compare and hash equal however they were
+    built.  Every complex contains the empty face, so the irrelevant
+    complex {0} is the one with no facets.  The void complex, with no
+    faces at all, has no Stanley-Reisner resolution; from_faces refuses
+    it, so it is never built.
     """
 
     n: int
@@ -226,32 +231,50 @@ class SimplicialComplex:
 
     def __post_init__(self) -> None:
         _check_ambient(self.n)
+        given: set[int] = set()
         for f in self.facets:
-            if f.n != self.n:
+            if isinstance(f, VertexSet) and f.n != self.n:
                 raise InputError(f"facet on {f.n} vertices in ambient {self.n}")
-            if not f:
-                raise InputError("facets must be nonempty; use from_faces()")
+            given.add(f.bits if isinstance(f, VertexSet) else int(f))
+        VertexSet(reduce(or_, given, 0), self.n)  # refuses bits outside 1..n
+        # Largest first, so a word is maximal exactly when no facet kept so
+        # far holds all its vertices.  Bit t of holders[v] is set when
+        # kept[t] holds vertex v + 1.  The facet that held the last dropped
+        # word is tried first, in one AND, which also drops the empty word.
+        holders = [0] * self.n
+        kept: list[VertexSet] = []
+        last = 0
+        for b in sorted(given, key=int.bit_count, reverse=True):
+            if b & ~last == 0:
+                continue
+            held, rest = -1, b
+            while held and rest:
+                low = rest & -rest
+                held &= holders[low.bit_length() - 1]
+                rest ^= low
+            if held:
+                last = kept[(held & -held).bit_length() - 1].bits
+            else:
+                kept.append(VertexSet(b, self.n))
+                for v in kept[-1]:
+                    holders[v - 1] |= 1 << len(kept) - 1
+        object.__setattr__(self, "facets", frozenset(kept))
 
     @classmethod
     def from_faces(
         cls, n: int, faces: Iterable[VertexSet] | Iterable[int]
     ) -> "SimplicialComplex":
-        """Downward closure of the given faces; facets are the maximal ones."""
-        bit_faces = sorted(
-            {f.bits if isinstance(f, VertexSet) else int(f) for f in faces},
-            key=lambda b: (b.bit_count(), b),
-            reverse=True,
-        )
-        if not bit_faces:
+        """Downward closure of the given faces: VertexSets on n or int bit patterns.
+
+        With no face at all, not even the empty one, it refuses the void complex.
+        """
+        faces = list(faces)
+        if not faces:
             raise VoidComplexError(
                 f"no faces on {n} vertices, not even the empty one: the void "
                 "complex has no Stanley-Reisner resolution"
             )
-        maximal: list[int] = []
-        for b in bit_faces:
-            if not any(b & ~m == 0 for m in maximal):
-                maximal.append(b)
-        return cls(n, frozenset(VertexSet(b, n) for b in maximal if b))
+        return cls(n, faces)
 
     @classmethod
     def irrelevant(cls, n: int) -> "SimplicialComplex":
@@ -294,8 +317,7 @@ def restrict(d: SimplicialComplex, s: VertexSet) -> SimplicialComplex:
     """Induced subcomplex on s: the faces of d contained in s."""
     if s.n != d.n:
         raise InputError(f"restriction set on {s.n} vertices, complex on {d.n}")
-    # The empty face stays a face of every restriction.
-    return SimplicialComplex.from_faces(d.n, [0, *(f.bits & s.bits for f in d.facets)])
+    return SimplicialComplex(d.n, frozenset(f & s for f in d.facets))
 
 
 def minimal_nonfaces(d: SimplicialComplex) -> frozenset[VertexSet]:

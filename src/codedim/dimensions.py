@@ -4,7 +4,8 @@ Each bound has two routes: the normative one reads the Betti table
 (strongest restriction-homology value, step-1 maximum, and full-grading
 maximum respectively), and a direct topological route recomputes it
 without the table.  full_report runs both and refuses to return if
-they disagree.
+they disagree; the homological bound's second route is ordinary homology,
+which differs from the table's reduced value only in degree 0.
 """
 
 from __future__ import annotations
@@ -149,6 +150,12 @@ def full_report(
         raise ConsistencyError(
             f"bound ordering violated: leray={leray}, helly={helly}, "
             f"homological={hom_betti}"
+        )
+    # Ordinary and reduced homology differ only in degree 0.
+    if hom_unreduced != (max(hom_betti, 1) if d.facets else hom_betti):
+        raise ConsistencyError(
+            f"ordinary-homology value {hom_unreduced} disagrees with the "
+            f"table value {hom_betti}"
         )
 
     witnesses = {}

@@ -8,7 +8,8 @@ holds the vertex-set grammar and infers n when none is declared.
 Empty inputs follow from what each format lists.  A code file lists
 every codeword, so "n=4" alone is the empty code: Delta(C) would have
 no faces at all, not even the empty one, and building it raises
-VoidComplexError (the CLI exits 2).  A complex file lists the nonempty
+VoidComplexError (the CLI exits 2).  A complex file lists faces, whose
+maximal nonempty ones the SimplicialComplex constructor keeps as the
 facets, and every complex contains the empty face, so "n=4" alone is
 the irrelevant complex {0} (the CLI exits 0).  A file that cannot be
 read, or is not UTF-8, raises InputError naming its path.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .complexes import Code, SimplicialComplex, VertexSet, _excerpt, parse_vertex_sets
+from .complexes import Code, SimplicialComplex, _excerpt, parse_vertex_sets
 from .errors import InputError
 
 
@@ -57,7 +58,7 @@ def read_code(path: str | Path) -> Code:
 
 
 def read_complex(path: str | Path) -> SimplicialComplex:
-    """A complex file: one facet per line (non-maximal lines are absorbed)."""
+    """A complex file: one face per line; the facets are the maximal ones."""
     declared, lines = _content_lines(_read_text(path))
     n, faces = parse_vertex_sets(lines, declared)
-    return SimplicialComplex.from_faces(n, [VertexSet.empty(n), *faces])
+    return SimplicialComplex(n, faces)

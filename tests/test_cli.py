@@ -37,11 +37,16 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def readme_block(heading, language):
+    """The first fenced block of that language under README's heading."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(rf"## {heading}\n.*?```{language}\n(.*?)```", text, re.S)
+    return block.group(1) if block else ""
+
+
 def readme_commands():
     """The `codedim ...` lines of README's "Command line" block."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S)
-    lines = block.group(1).splitlines() if block else []
+    lines = readme_block("Command line", "sh").splitlines()
     return [line for line in lines if line.startswith("codedim ")]
 
 
@@ -56,6 +61,14 @@ class TestReadmeCommands:
         status, out, err = run(capsys, *shlex.split(command)[1:])
         assert status == 0, err
         assert out.strip()
+
+
+class TestReadmeLibrary:
+    def test_example_prints_the_three_bounds(self, capsys):
+        source = readme_block("Library", "python")
+        assert "full_report" in source
+        exec(compile(source, "README.md", "exec"), {})
+        assert capsys.readouterr().out == "2 2 2\n"
 
 
 class TestAnalyze:

@@ -1,3 +1,5 @@
+import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -239,6 +241,99 @@ class TestRestrict:
                 assert restrict(restrict(d, s), s) == restrict(d, s)
 
 
+def brute_maximal(words):
+    """The nonempty words that no other given word contains."""
+    words = set(words)
+    return {b for b in words if b and not any(b != c and b & ~c == 0 for c in words)}
+
+
+def brute_faces(d):
+    """Every subset of {1..n} that lies in d, tested one by one."""
+    return {b for b in range(1 << d.n) if VertexSet(b, d.n) in d}
+
+
+class TestCanonicalFacets:
+    def test_nested_facets_collapse_to_the_maximal_one(self):
+        given = SimplicialComplex(3, frozenset({VertexSet(1, 3), VertexSet(3, 3)}))
+        built = SimplicialComplex.from_faces(3, [1, 3])
+        assert given == built
+        assert hash(given) == hash(built)
+        assert given.facets == {VertexSet(3, 3)}
+
+    def test_empty_set_is_dropped(self):
+        d = SimplicialComplex(3, frozenset({VertexSet.empty(3), VertexSet(0b101, 3)}))
+        assert d.facets == {VertexSet(0b101, 3)}
+        assert SimplicialComplex(3, frozenset({VertexSet.empty(3)})) == (
+            SimplicialComplex.irrelevant(3)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        raw=st.lists(st.integers(0, (1 << 8) - 1), max_size=24),
+        masks=st.lists(st.integers(0, (1 << 8) - 1), max_size=8),
+    )
+    def test_constructor_and_from_faces_keep_the_maximal_sets(self, n, raw, masks):
+        top = (1 << n) - 1
+        words = [b & top for b in raw]
+        # nested sets, repeats and the empty set
+        words += [w & m for w in words[:8] for m in masks] + words[:4] + [0]
+        given = SimplicialComplex(n, [VertexSet(b, n) for b in words])
+        built = SimplicialComplex.from_faces(n, words)
+        assert given == built
+        assert hash(given) == hash(built)
+        assert {f.bits for f in built.facets} == brute_maximal(words)
+
+    @pytest.mark.parametrize("ambient", [3, 7])
+    def test_sets_on_another_ambient_are_refused(self, ambient):
+        with pytest.raises(InputError, match="ambient"):
+            SimplicialComplex.from_faces(5, [VertexSet(0b11, ambient)])
+        with pytest.raises(InputError, match="ambient"):
+            SimplicialComplex(5, frozenset({VertexSet.empty(ambient)}))
+
+    def test_wider_binary_word_is_not_read_as_its_bits(self):
+        with pytest.raises(InputError, match="ambient"):
+            SimplicialComplex.from_faces(3, [VertexSet.parse("11000")])
+        with pytest.raises(InputError, match="ambient"):
+            SimplicialComplex.from_faces(5, [VertexSet.parse("110")])
+
+    @pytest.mark.parametrize("bits", [0b1000, -1])
+    def test_bit_patterns_outside_the_ambient_are_refused(self, bits):
+        with pytest.raises(InputError, match="outside"):
+            SimplicialComplex.from_faces(3, [0b1, bits])
+
+    def test_all_middle_subsets_of_sixteen_vertices_are_facets(self):
+        words = [
+            sum(1 << v for v in c) for c in itertools.combinations(range(16), 8)
+        ]
+        d = SimplicialComplex.from_faces(16, words)
+        assert len(d.facets) == 12_870
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            complex_of_code(code_l26()),
+            cross_polytope(2),
+            cross_polytope(3),
+            complete_bipartite_clique(4),
+            hollow_simplex(6),
+            projective_plane(),
+            cone(projective_plane()),
+            SimplicialComplex.from_faces(5, [0b00011, 0b00110, 0b01100]),
+            SimplicialComplex.irrelevant(4),
+        ],
+        ids=["l26", "cross_2", "cross_3", "K_4,4", "hollow_6", "RP2", "cone_RP2",
+             "path", "irrelevant"],
+    )
+    def test_restriction_keeps_the_faces_inside_sigma(self, d):
+        faces = brute_faces(d)
+        for sigma in range(1 << d.n):
+            r = restrict(d, VertexSet(sigma, d.n))
+            inside = {b for b in faces if b & ~sigma == 0}
+            assert r._face_bits() == inside
+            assert {f.bits for f in r.facets} == brute_maximal(inside)
+
+
 class TestMinimalNonfaces:
     def test_octahedron(self):
         found = minimal_nonfaces(cross_polytope(2))
@@ -316,6 +411,21 @@ class TestCliqueComplex:
             VertexSet.of([u, v], 4) for u in range(1, 5) for v in range(u + 1, 5)
         ]
         assert clique_complex(4, edges) == SimplicialComplex.full_simplex(4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 10_000), density=st.floats(0, 1))
+    def test_faces_are_the_cliques_of_the_graph(self, n, seed, density):
+        rng = random.Random(seed)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = {pair for pair in pairs if rng.random() < density}
+        d = clique_complex(n, [VertexSet.of(e, n) for e in edges])
+        cliques = {
+            b
+            for b in range(1 << n)
+            if all(pair in edges for pair in itertools.combinations(VertexSet(b, n), 2))
+        }
+        assert d._face_bits() == cliques
+        assert {f.bits for f in d.facets} == brute_maximal(cliques)
 
     def test_bad_edge_rejected(self):
         with pytest.raises(InputError):

@@ -394,6 +394,16 @@ class TestFullReport:
         with pytest.raises(ConsistencyError, match="restriction-homology maximum 99"):
             full_report(cross_polytope(1), GF2)
 
+    def test_homological_disagreement_is_fatal(self, monkeypatch):
+        exact = dimensions_module.hom_dimension_unreduced
+        monkeypatch.setattr(
+            dimensions_module,
+            "hom_dimension_unreduced",
+            lambda d, field: exact(d, field) + 1,
+        )
+        with pytest.raises(ConsistencyError, match="value 3 disagrees with the table value 2"):
+            full_report(cross_polytope(1), GF2)
+
     def test_bound_ordering_violation_is_fatal(self, monkeypatch):
         monkeypatch.setattr(
             dimensions_module, "hom_dimension_betti", lambda t: (99, None)

@@ -66,6 +66,11 @@ class TestComplexFiles:
         d = read_complex(write(tmp_path, "1110\n1100\n"))
         assert {f.binary() for f in d.facets} == {"1110"}
 
+    def test_lines_go_straight_to_the_constructor(self, tmp_path):
+        d = read_complex(write(tmp_path, "n=4\n{}\n1100\n0100\n1100\n0011\n"))
+        assert d == SimplicialComplex.from_faces(4, [0b0011, 0b1100])
+        assert {f.binary() for f in d.facets} == {"1100", "0011"}
+
     def test_no_facets_gives_irrelevant_complex(self, tmp_path):
         d = read_complex(write(tmp_path, "n=3\n"))
         assert not d.facets
