@@ -29,12 +29,11 @@ from .complexes import (
 )
 from .dimensions import (
     DimensionReport,
-    Witness,
     full_report,
     helly_dimension,
     helly_dimension_direct,
     hom_dimension_betti,
-    hom_dimension_unreduced,
+    hom_dimension_direct,
     leray_dimension,
     leray_dimension_direct,
     report_to_json,
@@ -57,12 +56,7 @@ from .generators import (
     projective_plane,
     random_complex,
 )
-from .homology import (
-    ReducedHomologyProfile,
-    reduced_homology,
-    top_nonzero_degree,
-    unreduced_homology,
-)
+from .homology import ReducedHomologyProfile, reduced_homology
 from .linalg import PrimeField
 
 __version__ = "0.1.0"
@@ -81,7 +75,6 @@ __all__ = [
     "SimplicialComplex",
     "VertexSet",
     "VoidComplexError",
-    "Witness",
     "clique_complex",
     "complete_bipartite_clique",
     "complex_of_code",
@@ -96,7 +89,7 @@ __all__ = [
     "hochster_table",
     "hollow_simplex",
     "hom_dimension_betti",
-    "hom_dimension_unreduced",
+    "hom_dimension_direct",
     "is_clique_complex",
     "leray_dimension",
     "leray_dimension_direct",
@@ -112,6 +105,4 @@ __all__ = [
     "table_from_json",
     "table_to_json",
     "table_to_m2",
-    "top_nonzero_degree",
-    "unreduced_homology",
 ]

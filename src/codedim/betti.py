@@ -221,7 +221,9 @@ def table_from_json(text: str) -> BettiTable:
         }
     except InputError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (
+        AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError
+    ) as exc:
         raise InputError(f"not a serialized Betti table: {exc}") from None
     return BettiTable(n, field, entries)
 

@@ -353,8 +353,11 @@ def is_clique_complex(d: SimplicialComplex) -> bool:
 
 def clique_complex(n: int, edges: Iterable[VertexSet]) -> SimplicialComplex:
     """Complex whose faces are the cliques of the graph on {1..n}."""
+    _check_ambient(n)
     adjacency = [0] * (n + 1)
     for e in edges:
+        if e.n != n:
+            raise InputError(f"edge on {e.n} vertices in ambient {n}")
         pair = e.vertices()
         if len(pair) != 2:
             raise InputError(f"edge must have exactly two vertices, got {e!r}")

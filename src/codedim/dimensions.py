@@ -1,11 +1,12 @@
 """The three lower bounds on the convex embedding dimension of a code.
 
-Each bound has two routes: the normative one reads the Betti table
-(strongest restriction-homology value, step-1 maximum, and full-grading
-maximum respectively), and a direct topological route recomputes it
-without the table.  full_report runs both and refuses to return if
-they disagree; the homological bound's second route is ordinary homology,
-which differs from the table's reduced value only in degree 0.
+Each bound has one shape: a reader of the Betti table returns the
+largest r-value |sigma| - i over a filter of its entries (steps >= 1,
+step 1, and the full grading respectively) with the first entry to
+reach it, and a direct route recomputes the same number without the
+table (restriction homology, minimal nonfaces, and the reduced homology
+of the whole complex).  full_report runs both routes of all three and
+refuses to return if any pair disagrees.
 """
 
 from __future__ import annotations
@@ -14,28 +15,14 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .betti import BettiTable, ensure_sweepable, hochster_table
+from .betti import BettiTable, RValue, ensure_sweepable, hochster_table
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
-from .errors import ConsistencyError, InputError
-from .homology import (
-    Chain,
-    PrimeField,
-    restriction_subsets,
-    top_nonzero_degree,
-    unreduced_homology,
-)
+from .errors import ConsistencyError
+from .homology import Chain, PrimeField, reduced_homology, restriction_subsets
 
 # Unused here: perfbench/tracing.py counts calls at this binding, and
 # tests/test_tracer_bindings.py checks that it exists.
 from .homology import profile_of_face_bits  # noqa: F401
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Table entry (step, grading) achieving a dimension bound."""
-
-    i: int
-    sigma: VertexSet
 
 
 @dataclass(frozen=True)
@@ -45,36 +32,34 @@ class DimensionReport:
     homological_betti: int
     homological_unreduced: int
     field: PrimeField
-    witnesses: dict[str, Witness]
+    witnesses: dict[str, RValue]
     oracle_agreement: dict[str, bool]
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.leray, self.helly, self.homological_betti)
 
 
-def _best_entry(entries: Iterable[tuple[int, VertexSet]]) -> tuple[int, Witness | None]:
+def _best_entry(entries: Iterable[tuple[int, VertexSet]]) -> tuple[int, RValue | None]:
     """Largest |sigma| - i over the given entries, witnessed by the first to reach it."""
-    best = -1
-    witness = None
+    best, witness = -1, None
     for i, sigma in entries:
-        value = len(sigma) - i
-        if value > best:
-            best = value
-            witness = Witness(i, sigma)
-    return (best, witness) if best >= 0 else (0, None)
+        if len(sigma) - i > best:
+            best = len(sigma) - i
+            witness = RValue(i, sigma, best)
+    return (best, witness) if witness else (0, None)
 
 
-def leray_dimension(t: BettiTable) -> tuple[int, Witness | None]:
+def leray_dimension(t: BettiTable) -> tuple[int, RValue | None]:
     """Largest |sigma| - i over positive entries at steps >= 1."""
     return _best_entry((i, sigma) for i, sigma, _ in t.items() if i >= 1)
 
 
-def helly_dimension(t: BettiTable) -> tuple[int, Witness | None]:
+def helly_dimension(t: BettiTable) -> tuple[int, RValue | None]:
     """Largest |sigma| - 1 over positive entries at step 1."""
     return _best_entry((i, sigma) for i, sigma, _ in t.items() if i == 1)
 
 
-def hom_dimension_betti(t: BettiTable) -> tuple[int, Witness | None]:
+def hom_dimension_betti(t: BettiTable) -> tuple[int, RValue | None]:
     """Largest n - i over positive entries graded by the full vertex set."""
     full = VertexSet.full(t.n)
     return _best_entry(
@@ -114,64 +99,44 @@ def helly_dimension_direct(d: SimplicialComplex) -> int:
     return max((len(s) for s in minimal_nonfaces(d)), default=1) - 1
 
 
-def hom_dimension_unreduced(
-    d: SimplicialComplex, field: PrimeField = PrimeField(2)
-) -> int:
-    """Top degree of ordinary homology plus one; >= 1 on nonempty complexes."""
-    if not d.facets:
-        raise InputError("the irrelevant complex has no vertices")
-    return top_nonzero_degree(unreduced_homology(d, field), -1) + 1
+def hom_dimension_direct(d: SimplicialComplex, field: PrimeField = PrimeField(2)) -> int:
+    """Top degree of the reduced homology of d plus one; 0 when it is trivial."""
+    return max(reduced_homology(d, field).dims, default=-1) + 1
 
 
 def full_report(
     d: SimplicialComplex, field: PrimeField = PrimeField(2)
 ) -> DimensionReport:
-    """All dimension bounds with witnesses, cross-checked both ways."""
+    """All dimension bounds with witnesses, each checked against its direct route."""
     table = hochster_table(d, field)
-    leray, leray_wit = leray_dimension(table)
-    helly, helly_wit = helly_dimension(table)
-    hom_betti, hom_wit = hom_dimension_betti(table)
-
-    leray_direct = leray_dimension_direct(d, field)
-    helly_direct = helly_dimension_direct(d)
-    hom_unreduced = hom_dimension_unreduced(d, field) if d.facets else 0
-
-    if leray != leray_direct:
-        raise ConsistencyError(
-            f"restriction-homology maximum {leray_direct} disagrees with the "
-            f"table value {leray}"
-        )
-    if helly != helly_direct:
-        raise ConsistencyError(
-            f"minimal-nonface maximum {helly_direct} disagrees with the "
-            f"table value {helly}"
-        )
+    bounds = {
+        "leray": leray_dimension(table),
+        "helly": helly_dimension(table),
+        "homological_betti": hom_dimension_betti(table),
+    }
+    leray, helly, hom_betti = (value for value, _ in bounds.values())
     if leray < helly or leray < hom_betti:
         raise ConsistencyError(
             f"bound ordering violated: leray={leray}, helly={helly}, "
             f"homological={hom_betti}"
         )
-    # Ordinary and reduced homology differ only in degree 0.
-    if hom_unreduced != (max(hom_betti, 1) if d.facets else hom_betti):
-        raise ConsistencyError(
-            f"ordinary-homology value {hom_unreduced} disagrees with the "
-            f"table value {hom_betti}"
-        )
-
-    witnesses = {}
-    if leray_wit is not None:
-        witnesses["leray"] = leray_wit
-    if helly_wit is not None:
-        witnesses["helly"] = helly_wit
-    if hom_wit is not None:
-        witnesses["homological_betti"] = hom_wit
+    for what, value, direct in (
+        ("restriction-homology maximum", leray, leray_dimension_direct(d, field)),
+        ("minimal-nonface maximum", helly, helly_dimension_direct(d)),
+        ("reduced-homology value", hom_betti, hom_dimension_direct(d, field)),
+    ):
+        if value != direct:
+            raise ConsistencyError(
+                f"{what} {direct} disagrees with the table value {value}"
+            )
     return DimensionReport(
         leray=leray,
         helly=helly,
         homological_betti=hom_betti,
-        homological_unreduced=hom_unreduced,
+        # Ordinary and reduced homology differ only in degree 0.
+        homological_unreduced=max(hom_betti, 1) if d.facets else 0,
         field=field,
-        witnesses=witnesses,
+        witnesses={name: w for name, (_, w) in bounds.items() if w is not None},
         oracle_agreement={"leray": True, "helly": True},
     )
 

@@ -303,19 +303,3 @@ def reduced_homology(
 ) -> ReducedHomologyProfile:
     """Reduced homology dimensions of d in every degree from -1 up."""
     return Chain(d._face_bits(), d.n, field).profile()
-
-
-def unreduced_homology(
-    d: SimplicialComplex, field: PrimeField = PrimeField(2)
-) -> ReducedHomologyProfile:
-    """Ordinary homology: degree 0 gains the component count's extra one."""
-    reduced = reduced_homology(d, field)
-    dims = {k: v for k, v in reduced.dims.items() if k >= 1}
-    if d.facets:
-        dims[0] = reduced.degree(0) + 1
-    return ReducedHomologyProfile(dims, field)
-
-
-def top_nonzero_degree(profile: ReducedHomologyProfile, floor: int) -> int:
-    """Largest degree with nonzero homology, or floor if there is none."""
-    return max((k for k, v in profile.dims.items() if v > 0), default=floor)

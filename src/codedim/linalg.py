@@ -47,10 +47,11 @@ class PrimeField:
     p: int = 2
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise InputError(f"{self.p} is not prime")
+        # The cap first: trial division of a huge p would not finish.
         if self.p >= 1 << 16:
             raise InputError(f"characteristic {self.p} above the 2^16 cap")
+        if not _is_prime(self.p):
+            raise InputError(f"{self.p} is not prime")
 
     def __str__(self) -> str:
         return f"GF({self.p})"

@@ -234,12 +234,16 @@ class TestSerialization:
 
     def test_json_rejects_garbage(self):
         # One test id for every malformed document: a missing key, text
-        # that is not JSON, a number where a grading goes, a word for a step.
+        # that is not JSON, a number where a grading goes, a word for a step,
+        # nesting too deep to decode, and numbers too large for an int.
         for text in (
             '{"n": 3}',
             "not json",
             '{"n": 1, "field": 2, "entries": [{"i": 0, "sigma": 0, "beta": 1}]}',
             '{"n": 1, "field": 2, "entries": [{"i": "x", "sigma": "0", "beta": 1}]}',
+            "[" * 10**5,
+            '{"n": 1, "field": 2, "entries": [{"i": 0, "sigma": "1", "beta": 1e400}]}',
+            '{"n": 1, "field": 2, "entries": [{"i": 1e400, "sigma": "1", "beta": 1}]}',
         ):
             with pytest.raises(InputError):
                 table_from_json(text)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codedim import complexes
 from codedim.complexes import (
     Code,
     SimplicialComplex,
@@ -430,6 +431,30 @@ class TestCliqueComplex:
     def test_bad_edge_rejected(self):
         with pytest.raises(InputError):
             clique_complex(4, [VertexSet.of([1, 2, 3], 4)])
+
+    def test_ambient_checked_before_the_adjacency_list(self, monkeypatch):
+        # Without the check, enumerating cliques on 10^7 vertices would hang.
+        def refuse(n, adjacency):
+            raise AssertionError(f"cliques enumerated on {n} vertices")
+
+        monkeypatch.setattr(complexes, "_maximal_cliques", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError):
+                clique_complex(10**7, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_negative_ambient_rejected(self):
+        with pytest.raises(GuardError):
+            clique_complex(-5, [])
+
+    @pytest.mark.parametrize("edge_n, n", [(6, 3), (3, 6)], ids=["larger", "smaller"])
+    def test_edge_from_another_ambient_rejected(self, edge_n, n):
+        with pytest.raises(InputError, match=f"edge on {edge_n} vertices in ambient {n}"):
+            clique_complex(n, [VertexSet.of([1, 2], edge_n)])
 
     def test_clique_detection(self):
         assert is_clique_complex(cross_polytope(2))

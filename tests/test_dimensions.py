@@ -17,7 +17,7 @@ from codedim.dimensions import (
     helly_dimension,
     helly_dimension_direct,
     hom_dimension_betti,
-    hom_dimension_unreduced,
+    hom_dimension_direct,
     leray_dimension,
     leray_dimension_direct,
     report_to_json,
@@ -25,7 +25,6 @@ from codedim.dimensions import (
 from codedim.errors import (
     ConsistencyError,
     GuardError,
-    InputError,
     VoidComplexError,
 )
 from codedim.generators import (
@@ -44,7 +43,6 @@ from codedim.homology import (
     profile_of_face_bits,
     reduced_homology,
     restriction_subsets,
-    top_nonzero_degree,
 )
 from codedim.linalg import PrimeField
 from codedim.oracle import _DENSITIES
@@ -143,7 +141,7 @@ def leray_per_restriction(d, field):
     """The direct Leray value with every restriction's profile built afresh."""
     best = -1
     for _, inside in induced_restrictions(d):
-        best = max(best, top_nonzero_degree(profile_of_face_bits(inside, field), -1))
+        best = max(best, max(profile_of_face_bits(inside, field).dims, default=-1))
     return best + 1 if best >= 0 else 0
 
 
@@ -335,19 +333,28 @@ class TestHomologicalDimension:
         assert value == 2
         assert (witness.i, witness.sigma.binary()) == (2, "1111")
 
+    # The reduced-homology route and the ordinary-homology value derived
+    # from it: a nonempty acyclic complex still has H_0, so its value is 1.
     def test_unreduced_l26_is_contractible(self):
-        assert hom_dimension_unreduced(complex_of_code(code_l26()), GF2) == 1
+        d = complex_of_code(code_l26())
+        assert hom_dimension_direct(d, GF2) == 0
+        assert full_report(d, GF2).homological_unreduced == 1
 
     def test_unreduced_cones(self):
         for i in range(3):
-            assert hom_dimension_unreduced(cone_of_cross_polytope(i), GF2) == 1
+            d = cone_of_cross_polytope(i)
+            assert hom_dimension_direct(d, GF2) == 0
+            assert full_report(d, GF2).homological_unreduced == 1
 
     def test_unreduced_orthoplex(self):
-        assert hom_dimension_unreduced(cross_polytope(3), GF2) == 4
+        assert hom_dimension_direct(cross_polytope(3), GF2) == 4
+        assert full_report(cross_polytope(3), GF2).homological_unreduced == 4
 
-    def test_unreduced_requires_vertices(self):
-        with pytest.raises(InputError):
-            hom_dimension_unreduced(SimplicialComplex.irrelevant(3), GF2)
+    def test_unreduced_irrelevant_complex_is_zero(self):
+        # Its only reduced homology sits in degree -1.
+        d = SimplicialComplex.irrelevant(3)
+        assert hom_dimension_direct(d, GF2) == 0
+        assert full_report(d, GF2).homological_unreduced == 0
 
 
 class TestFullReport:
@@ -395,14 +402,23 @@ class TestFullReport:
             full_report(cross_polytope(1), GF2)
 
     def test_homological_disagreement_is_fatal(self, monkeypatch):
-        exact = dimensions_module.hom_dimension_unreduced
+        exact = dimensions_module.hom_dimension_direct
         monkeypatch.setattr(
             dimensions_module,
-            "hom_dimension_unreduced",
+            "hom_dimension_direct",
             lambda d, field: exact(d, field) + 1,
         )
         with pytest.raises(ConsistencyError, match="value 3 disagrees with the table value 2"):
             full_report(cross_polytope(1), GF2)
+
+    def test_homological_table_fault_is_caught_in_degree_zero(self, monkeypatch):
+        # Two points have reduced H_0 = 1 and ordinary H_0 = 2, so a table
+        # reader that drops their value must not hide behind max(value, 1).
+        monkeypatch.setattr(
+            dimensions_module, "hom_dimension_betti", lambda t: (0, None)
+        )
+        with pytest.raises(ConsistencyError, match="reduced-homology value 1"):
+            full_report(cross_polytope(0), GF2)
 
     def test_bound_ordering_violation_is_fatal(self, monkeypatch):
         monkeypatch.setattr(

@@ -20,7 +20,7 @@ from codedim.generators import (
     projective_plane,
     random_complex,
 )
-from codedim.dimensions import leray_dimension_direct
+from codedim.dimensions import full_report, hom_dimension_direct, leray_dimension_direct
 from codedim.homology import (
     PrimeField,
     ReducedHomologyProfile,
@@ -29,8 +29,6 @@ from codedim.homology import (
     packed_chain,
     profile_of_face_bits,
     reduced_homology,
-    top_nonzero_degree,
-    unreduced_homology,
 )
 from codedim.linalg import reduce_gf2
 from codedim.oracle import _DENSITIES
@@ -247,30 +245,47 @@ class TestInducedRestrictions:
 
 
 class TestUnreducedHomology:
+    """Ordinary homology is reduced homology with one more in degree 0.
+
+    Each case states the reduced dims, and the ordinary-homology bound
+    that `full_report` derives from them.
+    """
+
     def test_single_vertex(self):
-        assert unreduced_homology(full_simplex(1), GF2).dims == {0: 1}
+        # ordinary {0: 1}
+        assert reduced_homology(full_simplex(1), GF2).dims == {}
+        assert full_report(full_simplex(1), GF2).homological_unreduced == 1
 
     def test_two_points(self):
-        assert unreduced_homology(cross_polytope(0), GF2).dims == {0: 2}
+        # ordinary {0: 2}
+        assert reduced_homology(cross_polytope(0), GF2).dims == {0: 1}
+        assert full_report(cross_polytope(0), GF2).homological_unreduced == 1
 
     def test_octahedron(self):
-        assert unreduced_homology(cross_polytope(2), GF2).dims == {0: 1, 2: 1}
+        # ordinary {0: 1, 2: 1}
+        assert reduced_homology(cross_polytope(2), GF2).dims == {2: 1}
+        assert full_report(cross_polytope(2), GF2).homological_unreduced == 3
 
     def test_empty_complexes_have_no_homology(self):
+        # ordinary {}: no vertex, so no degree-0 class either
         with pytest.raises(VoidComplexError):
             complex_of_code(Code(3, frozenset()))
-        assert unreduced_homology(SimplicialComplex.irrelevant(3), GF2).dims == {}
+        d = SimplicialComplex.irrelevant(3)
+        assert reduced_homology(d, GF2).dims == {-1: 1}
+        assert full_report(d, GF2).homological_unreduced == 0
 
 
 class TestTopNonzeroDegree:
+    """`hom_dimension_direct` is the top reduced degree plus one, else 0."""
+
     def test_octahedron_profile(self):
-        assert top_nonzero_degree(reduced_homology(cross_polytope(2), GF2), -2) == 2
+        assert hom_dimension_direct(cross_polytope(2), GF2) == 3
 
     def test_sentinel_on_zero_profile(self):
-        assert top_nonzero_degree(reduced_homology(full_simplex(3), GF2), -2) == -2
+        assert hom_dimension_direct(full_simplex(3), GF2) == 0
 
     def test_hollow_triangle(self):
-        assert top_nonzero_degree(reduced_homology(hollow_simplex(3), GF2), -2) == 1
+        assert hom_dimension_direct(hollow_simplex(3), GF2) == 2
 
 
 class TestStructuralProperties:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
+from codedim import linalg
 from codedim.errors import InputError
 from codedim.linalg import PrimeField, rank_array, rank_gf2, reduce_gf2
 
@@ -38,6 +39,18 @@ class TestPrimeField:
     def test_rejects_huge_characteristic(self):
         with pytest.raises(InputError):
             PrimeField(65537)
+
+    def test_cap_checked_before_primality(self, monkeypatch):
+        # Trial division of a Mersenne prime this large would not finish.
+        is_prime = linalg._is_prime
+
+        def small_only(p):
+            assert p < 1 << 16, f"primality tested for {p} above the cap"
+            return is_prime(p)
+
+        monkeypatch.setattr(linalg, "_is_prime", small_only)
+        with pytest.raises(InputError, match="cap"):
+            PrimeField(2**61 - 1)
 
     def test_str(self):
         assert str(PrimeField(3)) == "GF(3)"
