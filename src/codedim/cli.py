@@ -16,16 +16,18 @@ from .linalg import PrimeField
 from .oracle import corrupt_step_one, run_oracle_suite
 
 
+# name -> (the argparse dests its factory takes, in order; the factory)
 _GENERATORS = {
-    "cross-polytope": ("i", generators.cross_polytope),
-    "cone": ("i", generators.cone_of_cross_polytope),
-    "octahedron": (None, lambda: generators.cross_polytope(2)),
-    "square": (None, lambda: generators.cross_polytope(1)),
-    "bipartite": ("r", generators.complete_bipartite_clique),
-    "hollow-simplex": ("m", generators.hollow_simplex),
-    "full-simplex": ("n", generators.full_simplex),
-    "l26": (None, lambda: complex_of_code(generators.code_l26())),
-    "projective-plane": (None, generators.projective_plane),
+    "cross-polytope": (("i",), generators.cross_polytope),
+    "cone": (("i",), generators.cone_of_cross_polytope),
+    "octahedron": ((), lambda: generators.cross_polytope(2)),
+    "square": ((), lambda: generators.cross_polytope(1)),
+    "bipartite": (("r",), generators.complete_bipartite_clique),
+    "hollow-simplex": (("m",), generators.hollow_simplex),
+    "full-simplex": (("n",), generators.full_simplex),
+    "l26": ((), lambda: complex_of_code(generators.code_l26())),
+    "projective-plane": ((), generators.projective_plane),
+    "random": (("n", "density", "seed"), generators.random_complex),
 }
 
 
@@ -48,20 +50,15 @@ def build_complex(args: argparse.Namespace) -> SimplicialComplex:
             r"(?<![^,\s])\{[^{}]*\}(?![^,\s])|[^,\s]+", " ".join(args.words)
         )
         return complex_of_code(Code.of(texts))
-    if args.generator == "random":
-        if args.n is None:
-            raise InputError("generator 'random' needs --n")
-        return generators.random_complex(args.n, args.density, args.seed)
     if args.generator not in _GENERATORS:
-        known = ", ".join(sorted(_GENERATORS) + ["random"])
+        known = ", ".join(sorted(_GENERATORS))
         raise InputError(f"unknown generator {args.generator!r}; known: {known}")
-    dest, make = _GENERATORS[args.generator]
-    if dest is None:
-        return make()
-    value = getattr(args, dest)
-    if value is None:
-        raise InputError(f"generator {args.generator!r} needs --{dest}")
-    return make(value)
+    dests, make = _GENERATORS[args.generator]
+    for flag in ("i", "r", "m", "n"):  # the size flags
+        if (flag in dests) != (getattr(args, flag) is not None):
+            verb = "needs" if flag in dests else "takes no"
+            raise InputError(f"generator {args.generator!r} {verb} --{flag}")
+    return make(*(getattr(args, dest) for dest in dests))
 
 
 def _witness_suffix(report, key: str) -> str:
@@ -129,7 +126,7 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
 def _add_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--generator", metavar="NAME",
                         help="named fixture: "
-                             + ", ".join(sorted(_GENERATORS) + ["random"]))
+                             + ", ".join(sorted(_GENERATORS)))
     parser.add_argument("--i", type=int, metavar="IDX",
                         help="cross-polytope / cone index")
     parser.add_argument("--r", type=int, metavar="SIZE",

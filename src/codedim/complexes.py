@@ -239,14 +239,24 @@ class SimplicialComplex:
         VertexSet(reduce(or_, given, 0), self.n)  # refuses bits outside 1..n
         # Largest first, so a word is maximal exactly when no facet kept so
         # far holds all its vertices.  Bit t of holders[v] is set when
-        # kept[t] holds vertex v + 1.  The facet that held the last dropped
-        # word is tried first, in one AND, which also drops the empty word.
+        # kept[t] holds vertex v + 1.  A word lies only in a strictly larger
+        # one, so kept facets join the masks only when a smaller word
+        # arrives, and those of the last size never do.  The facet that held
+        # the last dropped word is tried first, in one AND, which also drops
+        # the empty word.
         holders = [0] * self.n
         kept: list[VertexSet] = []
-        last = 0
+        joined = last = 0
+        size = self.n + 1
         for b in sorted(given, key=int.bit_count, reverse=True):
             if b & ~last == 0:
                 continue
+            if b.bit_count() < size:
+                size = b.bit_count()
+                for t in range(joined, len(kept)):
+                    for v in kept[t]:
+                        holders[v - 1] |= 1 << t
+                joined = len(kept)
             held, rest = -1, b
             while held and rest:
                 low = rest & -rest
@@ -256,8 +266,6 @@ class SimplicialComplex:
                 last = kept[(held & -held).bit_length() - 1].bits
             else:
                 kept.append(VertexSet(b, self.n))
-                for v in kept[-1]:
-                    holders[v - 1] |= 1 << len(kept) - 1
         object.__setattr__(self, "facets", frozenset(kept))
 
     @classmethod
@@ -352,9 +360,18 @@ def is_clique_complex(d: SimplicialComplex) -> bool:
 
 
 def clique_complex(n: int, edges: Iterable[VertexSet]) -> SimplicialComplex:
-    """Complex whose faces are the cliques of the graph on {1..n}."""
+    """Complex whose faces are the cliques of the graph on {1..n}.
+
+    It starts from the full simplex and, for each vertex v in turn, splits
+    every facet F that holds v and a non-neighbour of v into F without v
+    and F's part in v's closed neighbourhood N[v]; the constructor keeps
+    the maximal pieces, as it does for every complex.  After step v each
+    facet that holds v lies in N[v], and later steps only shrink facets.
+    Every maximal clique stays inside some facet throughout, so the facets
+    left at the end are exactly the maximal cliques.
+    """
     _check_ambient(n)
-    adjacency = [0] * (n + 1)
+    adjacency = [0] * n
     for e in edges:
         if e.n != n:
             raise InputError(f"edge on {e.n} vertices in ambient {n}")
@@ -362,43 +379,16 @@ def clique_complex(n: int, edges: Iterable[VertexSet]) -> SimplicialComplex:
         if len(pair) != 2:
             raise InputError(f"edge must have exactly two vertices, got {e!r}")
         u, v = pair
-        adjacency[u] |= 1 << (v - 1)
-        adjacency[v] |= 1 << (u - 1)
-    cliques = _maximal_cliques(n, adjacency)
-    return SimplicialComplex.from_faces(n, cliques)
-
-
-def _maximal_cliques(n: int, adjacency: list[int]) -> list[int]:
-    """Bron-Kerbosch with pivoting on bit-pattern vertex sets."""
-    out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot_pool = p | x
-        best = 0
-        best_deg = -1
-        pool = pivot_pool
-        while pool:
-            low = pool & -pool
-            v = low.bit_length()
-            deg = (adjacency[v] & p).bit_count()
-            if deg > best_deg:
-                best, best_deg = v, deg
-            pool ^= low
-        candidates = p & ~adjacency[best]
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length()
-            nv = adjacency[v]
-            expand(r | low, p & nv, x & nv)
-            p &= ~low
-            x |= low
-            candidates ^= low
-
-    expand(0, (1 << n) - 1, 0)
-    return out
+        adjacency[u - 1] |= 1 << (v - 1)
+        adjacency[v - 1] |= 1 << (u - 1)
+    d = SimplicialComplex.full_simplex(n)
+    for v, adjacent in enumerate(adjacency):
+        near, pieces = adjacent | 1 << v, []  # near is N[v]
+        for f in d.facets:
+            b = f.bits
+            pieces += (b ^ 1 << v, b & near) if b >> v & 1 and b & ~near else (b,)
+        d = SimplicialComplex(n, pieces)
+    return d
 
 
 def face_count_by_dimension(d: SimplicialComplex) -> list[int]:

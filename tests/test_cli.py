@@ -11,6 +11,8 @@ import pytest
 
 import codedim.dimensions as dimensions
 from codedim.cli import main
+from codedim.dimensions import full_report, report_to_json
+from codedim.generators import random_complex
 
 L26_FILE = """# the 14-word code on four neurons
 n=4
@@ -164,6 +166,15 @@ class TestAnalyze:
         assert first[0] == 0
         assert first[1] == second[1]
 
+    def test_random_generator_takes_size_density_and_seed(self, capsys):
+        status, out, _ = run(
+            capsys, "analyze", "--generator", "random", "--n", "5",
+            "--density", "0.3", "--seed", "3", "--format", "json",
+        )
+        assert status == 0
+        expected = report_to_json(full_report(random_complex(5, 0.3, 3)))
+        assert out == expected + "\n"
+
 
 class TestBetti:
     def test_cone_over_square_m2_matches_reference_block(self, capsys):
@@ -245,6 +256,21 @@ class TestErrorPaths:
         status, _, err = run(capsys, "analyze", "--generator", "random")
         assert status == 2
         assert "needs --n" in err
+
+    @pytest.mark.parametrize(
+        "generator, flag",
+        [("square", "--i"), ("octahedron", "--n"), ("cone", "--r"),
+         ("random", "--m"), ("full-simplex", "--i")],
+    )
+    def test_size_flag_the_generator_does_not_take(self, capsys, generator, flag):
+        extra = ["--i", "1"] if generator == "cone" else []
+        extra += ["--n", "3"] if generator in ("random", "full-simplex") else []
+        status, out, err = run(
+            capsys, "analyze", "--generator", generator, *extra, flag, "3"
+        )
+        assert status == 2
+        assert out == ""
+        assert f"takes no {flag}" in err
 
     def test_consistency_error_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(dimensions, "leray_dimension_direct", lambda d, field: 99)

@@ -253,6 +253,28 @@ def brute_faces(d):
     return {b for b in range(1 << d.n) if VertexSet(b, d.n) in d}
 
 
+def multipartite(n, block):
+    """Edges between vertices in different consecutive blocks of the given size."""
+    return [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if (u - 1) // block != (v - 1) // block
+    ]
+
+
+def assert_clique_complex(n, edges):
+    """clique_complex(n, edges) against every subset of {1..n}, tested one by one."""
+    d = clique_complex(n, [VertexSet.of(e, n) for e in edges])
+    cliques = {
+        b
+        for b in range(1 << n)
+        if all(pair in edges for pair in itertools.combinations(VertexSet(b, n), 2))
+    }
+    assert d._face_bits() == cliques
+    assert {f.bits for f in d.facets} == brute_maximal(cliques)
+
+
 class TestCanonicalFacets:
     def test_nested_facets_collapse_to_the_maximal_one(self):
         given = SimplicialComplex(3, frozenset({VertexSet(1, 3), VertexSet(3, 3)}))
@@ -302,6 +324,26 @@ class TestCanonicalFacets:
     def test_bit_patterns_outside_the_ambient_are_refused(self, bits):
         with pytest.raises(InputError, match="outside"):
             SimplicialComplex.from_faces(3, [0b1, bits])
+
+    @pytest.mark.parametrize(
+        "larger",
+        [
+            lambda c: 0 in c,  # every 4-subset lies in one of these
+            lambda c: max(c) < 7,  # only the 4-subsets of {1..7} do
+        ],
+        ids=["holding_vertex_1", "inside_1_to_7"],
+    )
+    def test_smaller_words_meet_the_facets_kept_before_them(self, larger):
+        # The 6-subsets are kept first; each 4-subset must still be tested
+        # against them, and against no 4-subset.
+        words = [sum(1 << v for v in c) for c in itertools.combinations(range(10), 4)]
+        words += [
+            sum(1 << v for v in c)
+            for c in itertools.combinations(range(10), 6)
+            if larger(c)
+        ]
+        d = SimplicialComplex.from_faces(10, words)
+        assert {f.bits for f in d.facets} == brute_maximal(words)
 
     def test_all_middle_subsets_of_sixteen_vertices_are_facets(self):
         words = [
@@ -418,26 +460,36 @@ class TestCliqueComplex:
     def test_faces_are_the_cliques_of_the_graph(self, n, seed, density):
         rng = random.Random(seed)
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-        edges = {pair for pair in pairs if rng.random() < density}
-        d = clique_complex(n, [VertexSet.of(e, n) for e in edges])
-        cliques = {
-            b
-            for b in range(1 << n)
-            if all(pair in edges for pair in itertools.combinations(VertexSet(b, n), 2))
-        }
-        assert d._face_bits() == cliques
-        assert {f.bits for f in d.facets} == brute_maximal(cliques)
+        assert_clique_complex(n, {pair for pair in pairs if rng.random() < density})
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (10, multipartite(10, 2)),
+            (12, multipartite(12, 3)),
+            (10, [(u, v) for u in range(1, 6) for v in range(6, 11)]),
+            *((k, [(v, v % k + 1) for v in range(1, k + 1)]) for k in range(4, 10)),
+            (8, [(v, v + 1) for v in range(1, 8)]),
+            (9, []),
+            (9, multipartite(9, 1)),
+        ],
+        ids=["cocktail_party_10", "moon_moser_12", "K_5,5",
+             *(f"C_{k}" for k in range(4, 10)), "path_8", "empty_9", "complete_9"],
+    )
+    def test_faces_are_the_cliques_of_a_stressed_graph(self, n, edges):
+        # every vertex splits facets: many non-neighbours, many maximal cliques
+        assert_clique_complex(n, {tuple(sorted(e)) for e in edges})
 
     def test_bad_edge_rejected(self):
         with pytest.raises(InputError):
             clique_complex(4, [VertexSet.of([1, 2, 3], 4)])
 
     def test_ambient_checked_before_the_adjacency_list(self, monkeypatch):
-        # Without the check, enumerating cliques on 10^7 vertices would hang.
-        def refuse(n, adjacency):
-            raise AssertionError(f"cliques enumerated on {n} vertices")
+        # Without the check, splitting facets on 10^7 vertices would hang.
+        def refuse(d):
+            raise AssertionError(f"a complex built on {d.n} vertices")
 
-        monkeypatch.setattr(complexes, "_maximal_cliques", refuse)
+        monkeypatch.setattr(complexes.SimplicialComplex, "__post_init__", refuse)
         tracemalloc.start()
         try:
             with pytest.raises(GuardError):

@@ -93,6 +93,13 @@ class TestCompleteBipartite:
             u, v = s.vertices()
             assert any(u in side and v in side for side in sides)
 
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_facets_are_exactly_the_r_squared_edges(self, r):
+        facets = {f.vertices() for f in complete_bipartite_clique(r).facets}
+        assert facets == {
+            (u, v) for u in range(1, r + 1) for v in range(r + 1, 2 * r + 1)
+        }
+
     def test_r1_is_a_single_edge(self):
         assert complete_bipartite_clique(1) == full_simplex(2)
 
