@@ -213,6 +213,43 @@ def parse_vertex_sets(
     return n, sets
 
 
+def _maximal_bits(words: set[int], n: int) -> list[int]:
+    """The maximal nonempty words among distinct bit patterns on n vertices.
+
+    Largest first, a word is kept when no kept word holds all its vertices:
+    bit t of holders[v] is set when kept[t] holds vertex v + 1.  A word lies
+    only in a strictly larger one, so kept words join the masks only when a
+    smaller word arrives.  The word that held the last dropped one is tried
+    first, in one AND, which also drops the empty word.
+    """
+    holders = [0] * n
+    kept: list[int] = []
+    joined = last = 0
+    size = n + 1
+    for b in sorted(words, key=int.bit_count, reverse=True):
+        if b & ~last == 0:
+            continue
+        if b.bit_count() < size:
+            size = b.bit_count()
+            for t in range(joined, len(kept)):
+                rest = kept[t]
+                while rest:
+                    low = rest & -rest
+                    holders[low.bit_length() - 1] |= 1 << t
+                    rest ^= low
+            joined = len(kept)
+        held, rest = -1, b
+        while held and rest:
+            low = rest & -rest
+            held &= holders[low.bit_length() - 1]
+            rest ^= low
+        if held:
+            last = kept[(held & -held).bit_length() - 1]
+        else:
+            kept.append(b)
+    return kept
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A downward-closed face family on {1..n}, stored by its facets.
@@ -237,36 +274,8 @@ class SimplicialComplex:
                 raise InputError(f"facet on {f.n} vertices in ambient {self.n}")
             given.add(f.bits if isinstance(f, VertexSet) else int(f))
         VertexSet(reduce(or_, given, 0), self.n)  # refuses bits outside 1..n
-        # Largest first, so a word is maximal exactly when no facet kept so
-        # far holds all its vertices.  Bit t of holders[v] is set when
-        # kept[t] holds vertex v + 1.  A word lies only in a strictly larger
-        # one, so kept facets join the masks only when a smaller word
-        # arrives, and those of the last size never do.  The facet that held
-        # the last dropped word is tried first, in one AND, which also drops
-        # the empty word.
-        holders = [0] * self.n
-        kept: list[VertexSet] = []
-        joined = last = 0
-        size = self.n + 1
-        for b in sorted(given, key=int.bit_count, reverse=True):
-            if b & ~last == 0:
-                continue
-            if b.bit_count() < size:
-                size = b.bit_count()
-                for t in range(joined, len(kept)):
-                    for v in kept[t]:
-                        holders[v - 1] |= 1 << t
-                joined = len(kept)
-            held, rest = -1, b
-            while held and rest:
-                low = rest & -rest
-                held &= holders[low.bit_length() - 1]
-                rest ^= low
-            if held:
-                last = kept[(held & -held).bit_length() - 1].bits
-            else:
-                kept.append(VertexSet(b, self.n))
-        object.__setattr__(self, "facets", frozenset(kept))
+        kept = frozenset(VertexSet(b, self.n) for b in _maximal_bits(given, self.n))
+        object.__setattr__(self, "facets", kept)
 
     @classmethod
     def from_faces(
@@ -287,10 +296,6 @@ class SimplicialComplex:
     @classmethod
     def irrelevant(cls, n: int) -> "SimplicialComplex":
         return cls(n, frozenset())
-
-    @classmethod
-    def full_simplex(cls, n: int) -> "SimplicialComplex":
-        return cls(n, frozenset({VertexSet.full(n)}))
 
     def __contains__(self, face: VertexSet) -> bool:
         if face.n != self.n:
@@ -334,6 +339,8 @@ def minimal_nonfaces(d: SimplicialComplex) -> frozenset[VertexSet]:
     These are the exponent sets of the minimal generators of the
     Stanley-Reisner ideal of d.
     """
+    if any(f.bits == (1 << d.n) - 1 for f in d.facets):
+        return frozenset()  # the full simplex has no nonface
     face_bits = d._face_bits()
     found: set[int] = set()
     # The empty face's candidates are the missing vertices.  A candidate is
@@ -364,9 +371,9 @@ def clique_complex(n: int, edges: Iterable[VertexSet]) -> SimplicialComplex:
 
     It starts from the full simplex and, for each vertex v in turn, splits
     every facet F that holds v and a non-neighbour of v into F without v
-    and F's part in v's closed neighbourhood N[v]; the constructor keeps
-    the maximal pieces, as it does for every complex.  After step v each
-    facet that holds v lies in N[v], and later steps only shrink facets.
+    and F's part in v's closed neighbourhood N[v], then keeps the maximal
+    pieces with `_maximal_bits`, the constructor's own pass.  After step v
+    each facet that holds v lies in N[v], and later steps only shrink them.
     Every maximal clique stays inside some facet throughout, so the facets
     left at the end are exactly the maximal cliques.
     """
@@ -381,14 +388,13 @@ def clique_complex(n: int, edges: Iterable[VertexSet]) -> SimplicialComplex:
         u, v = pair
         adjacency[u - 1] |= 1 << (v - 1)
         adjacency[v - 1] |= 1 << (u - 1)
-    d = SimplicialComplex.full_simplex(n)
+    facets = [(1 << n) - 1]
     for v, adjacent in enumerate(adjacency):
-        near, pieces = adjacent | 1 << v, []  # near is N[v]
-        for f in d.facets:
-            b = f.bits
-            pieces += (b ^ 1 << v, b & near) if b >> v & 1 and b & ~near else (b,)
-        d = SimplicialComplex(n, pieces)
-    return d
+        near, pieces = adjacent | 1 << v, set()  # near is N[v]
+        for b in facets:
+            pieces.update((b ^ 1 << v, b & near) if b >> v & 1 and b & ~near else (b,))
+        facets = _maximal_bits(pieces, n)
+    return SimplicialComplex(n, facets)
 
 
 def face_count_by_dimension(d: SimplicialComplex) -> list[int]:

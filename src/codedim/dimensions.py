@@ -18,7 +18,7 @@ from typing import Iterable
 from .betti import BettiTable, RValue, ensure_sweepable, hochster_table
 from .complexes import SimplicialComplex, VertexSet, minimal_nonfaces
 from .errors import ConsistencyError
-from .homology import Chain, PrimeField, reduced_homology, restriction_subsets
+from .homology import Chain, PrimeField, reduced_homology
 
 # Unused here: perfbench/tracing.py counts calls at this binding, and
 # tests/test_tracer_bindings.py checks that it exists.
@@ -86,7 +86,9 @@ def leray_dimension_direct(
     faces = d._face_bits()
     chain = Chain(faces, d.n, field)
     best = -1
-    for sigma in restriction_subsets(d.n, faces):
+    for sigma in range(1 << d.n):
+        if sigma in faces:
+            continue
         for k, dim in chain.homology(sigma, best):
             if dim:
                 best = k

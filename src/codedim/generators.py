@@ -83,7 +83,7 @@ def hollow_simplex(m: int) -> SimplicialComplex:
 
 
 def full_simplex(n: int) -> SimplicialComplex:
-    return SimplicialComplex.full_simplex(n)
+    return SimplicialComplex(n, frozenset({VertexSet.full(n)}))
 
 
 def projective_plane() -> SimplicialComplex:

@@ -274,32 +274,10 @@ def profile_of_face_bits(
     return Chain(faces, max(faces, default=0).bit_length(), field).profile()
 
 
-def restriction_subsets(n: int, skip: Container[int] = ()) -> Iterator[int]:
-    """Every subset sigma of n vertices not in skip, as a bitmask, in increasing order.
-
-    A caller skips the faces of its complex, which are exactly the subsets
-    lying inside a facet: each restricts to a full simplex (the empty face
-    to the irrelevant complex, whose only homology is in degree -1).
-    """
-    for sigma in range(1 << n):
-        if sigma not in skip:
-            yield sigma
-
-
-def induced_restrictions(d: SimplicialComplex) -> Iterator[tuple[int, list[int]]]:
-    """(sigma, faces of d inside sigma) for every subset sigma of d's vertices.
-
-    Each restriction is selected afresh from d's whole face list, so the
-    checks built on it share nothing with the table route.
-    """
-    faces = sorted(d._face_bits())
-    for sigma in restriction_subsets(d.n):
-        not_sigma = ~sigma
-        yield sigma, [b for b in faces if b & not_sigma == 0]
-
-
 def reduced_homology(
     d: SimplicialComplex, field: PrimeField = PrimeField(2)
 ) -> ReducedHomologyProfile:
     """Reduced homology dimensions of d in every degree from -1 up."""
+    if d.facets and set.intersection(*map(set, d.facets)):
+        return ReducedHomologyProfile({}, field)  # a cone, such as a full simplex
     return Chain(d._face_bits(), d.n, field).profile()

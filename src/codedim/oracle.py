@@ -2,22 +2,22 @@
 
 Every trial builds a seeded random complex and verifies, among other
 things, that the bound ordering holds, that step-1 gradings are exactly
-the minimal nonfaces, that the Euler characteristic identity holds on
-every induced subcomplex, and that table-driven and direct values agree:
-the Helly bound at GF(2), GF(3) and GF(5), the Leray bound at GF(2).
-The Euler check tests the face counts and the profile formula; it cannot
-catch a wrong rank, because in sum (-1)^k dim H~_k the rank terms cancel.  A deliberately corrupted table (via
-`table_mutator`) must make the suite fail; that hook keeps the failure
-path honest.
+the minimal nonfaces, that the GF(2), GF(3) and GF(5) tables satisfy the
+Euler identity of Hochster's formula on every grading, and that
+table-driven and direct values agree: the Helly bound at GF(2), GF(3)
+and GF(5), the Leray bound at GF(2).  The Euler check reads every table
+but, like any Euler characteristic, cannot catch a wrong rank.  A
+deliberately corrupted table (via `table_mutator`) must make the suite
+fail; that hook keeps the failure path honest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .betti import BettiTable, hochster_table
-from .complexes import SimplicialComplex, is_clique_complex, minimal_nonfaces
+from .complexes import SimplicialComplex, VertexSet, is_clique_complex, minimal_nonfaces
 from .dimensions import (
     helly_dimension,
     helly_dimension_direct,
@@ -27,7 +27,7 @@ from .dimensions import (
 )
 from .errors import GuardError, InputError
 from .generators import random_complex
-from .homology import PrimeField, induced_restrictions, profile_of_face_bits
+from .homology import PrimeField, profile_of_face_bits
 
 CHECK_NAMES = (
     "bound-ordering",
@@ -40,6 +40,7 @@ CHECK_NAMES = (
 
 _DENSITIES = (0.15, 0.3, 0.5, 0.7, 0.85)
 _PRIMES = (2, 3, 5)
+_GF2 = PrimeField(2)
 
 
 @dataclass
@@ -53,14 +54,28 @@ class OracleSummary:
         return not self.failures
 
 
-def _euler_mismatch(d: SimplicialComplex, field: PrimeField) -> int | None:
-    """First subset where homology and face counts disagree, else None."""
-    for sigma, inside in induced_restrictions(d):
-        profile = profile_of_face_bits(inside, field)
-        homological = sum((1 - 2 * (k % 2)) * v for k, v in profile.dims.items())
-        combinatorial = sum(1 - 2 * ((b.bit_count() - 1) % 2) for b in inside if b) - 1
-        if homological != combinatorial:
-            return sigma
+def _euler_mismatch(
+    d: SimplicialComplex, tables: Sequence[BettiTable]
+) -> tuple[PrimeField, int] | None:
+    """First (field, sigma) where Hochster's Euler identity fails, else None.
+
+    chi~(d|sigma) for every sigma comes from one subset-sum transform of the
+    face signs; the GF(2) homology of d must also give chi~(d).
+    """
+    faces = d._face_bits()
+    chi = [2 * (b.bit_count() & 1) - 1 if b in faces else 0 for b in range(1 << d.n)]
+    for v in range(d.n):
+        for sigma in range(1 << d.n):
+            chi[sigma] += chi[sigma ^ 1 << v] * (sigma >> v & 1)
+    whole = profile_of_face_bits(faces, _GF2).dims
+    if sum((1 - 2 * (k & 1)) * dim for k, dim in whole.items()) != chi[-1]:
+        return _GF2, len(chi) - 1
+    for table in tables:
+        defects = chi.copy()
+        for i, sigma, beta in table.items():
+            defects[sigma.bits] -= (2 * ((len(sigma) - i) & 1) - 1) * beta
+        if any(defects):
+            return table.field, next(s for s, x in enumerate(defects) if x)
     return None
 
 
@@ -78,7 +93,6 @@ def run_oracle_suite(
             f"oracle checks enumerate all induced subcomplexes; n={n} > 8 refused"
         )
     summary = OracleSummary(trials=trials, passes={name: 0 for name in CHECK_NAMES})
-    gf2 = PrimeField(2)
 
     def record(check: str, passed: bool, failure: str) -> None:
         if passed:
@@ -89,9 +103,10 @@ def run_oracle_suite(
     for t in range(trials):
         d = random_complex(n, _DENSITIES[t % len(_DENSITIES)], seed + t)
         label = f"trial {t} (seed {seed + t})"
-        table = hochster_table(d, gf2)
+        table = hochster_table(d, _GF2)
         if table_mutator is not None:
             table = table_mutator(table)
+        tables = [table] + [hochster_table(d, PrimeField(p)) for p in _PRIMES[1:]]
 
         leray, _ = leray_dimension(table)
         helly, _ = helly_dimension(table)
@@ -103,12 +118,10 @@ def run_oracle_suite(
         )
 
         helly_direct = helly_dimension_direct(d)
-        agreed = helly == helly_direct
-        for p in _PRIMES[1:]:
-            other, _ = helly_dimension(hochster_table(d, PrimeField(p)))
-            agreed = agreed and other == helly_direct
         record(
-            "helly-direct", agreed, "step-1 maximum disagrees with minimal nonfaces"
+            "helly-direct",
+            all(helly_dimension(other)[0] == helly_direct for other in tables),
+            "step-1 maximum disagrees with minimal nonfaces",
         )
 
         step_one = {
@@ -121,12 +134,12 @@ def run_oracle_suite(
             "step-1 gradings are not the minimal nonfaces",
         )
 
-        bad_sigma = _euler_mismatch(d, gf2)
+        bad = _euler_mismatch(d, tables)
+        field, sigma = bad or (_GF2, 0)  # read only when bad is a mismatch
         record(
             "euler",
-            bad_sigma is None,
-            # The message is read only when bad_sigma is a subset.
-            f"Euler identity fails on subset {bad_sigma or 0:0{n}b}",
+            bad is None,
+            f"Euler identity fails on subset {sigma:0{n}b} over GF({field.p})",
         )
 
         record(
@@ -137,7 +150,7 @@ def run_oracle_suite(
 
         record(
             "leray-direct",
-            leray == leray_dimension_direct(d, gf2),
+            leray == leray_dimension_direct(d, _GF2),
             f"restriction maximum disagrees with table value {leray}",
         )
 
@@ -146,8 +159,6 @@ def run_oracle_suite(
 
 def corrupt_step_one(table: BettiTable) -> BettiTable:
     """Deliberately damage a table; the oracle suite must then fail."""
-    from .complexes import VertexSet
-
     entries = table.entries()
     for (i, sigma), beta in entries.items():
         if i == 1:

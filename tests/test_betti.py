@@ -33,7 +33,7 @@ from codedim.generators import (
 )
 from codedim.homology import chain_data
 from codedim.linalg import PrimeField, rank_array
-from codedim.oracle import _DENSITIES
+from codedim.oracle import _DENSITIES, _euler_mismatch
 
 from test_homology import profile_from_counts_and_ranks
 
@@ -80,6 +80,13 @@ def euler_defects(d, table):
             1 - 2 * ((len(sigma) - i - 1) & 1)
         ) * beta
     return {sigma: v for sigma, v in defects.items() if v}
+
+
+def assert_euler_check_agrees(d, table):
+    """The oracle's check names the first grading euler_defects finds, or None."""
+    defects = euler_defects(d, table)
+    expected = (table.field, min(defects)) if defects else None
+    assert _euler_mismatch(d, [table]) == expected
 
 
 def entries_of(table):
@@ -167,12 +174,16 @@ class TestHochsterTable:
         assert gf2 != gf3
         assert euler_defects(d, gf2) == {}
         assert euler_defects(d, gf3) == {}
+        assert_euler_check_agrees(d, gf2)
+        assert_euler_check_agrees(d, gf3)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_euler_identity_on_every_grading(self, p):
         for seed in range(12):
             d = random_complex(6, _DENSITIES[seed % len(_DENSITIES)], seed)
-            assert euler_defects(d, hochster_table(d, PrimeField(p))) == {}
+            table = hochster_table(d, PrimeField(p))
+            assert euler_defects(d, table) == {}
+            assert_euler_check_agrees(d, table)
 
     def test_euler_identity_sees_a_misplaced_step(self):
         table = hochster_table(projective_plane(), GF2)
@@ -181,6 +192,7 @@ class TestHochsterTable:
             | {(0, VertexSet.empty(table.n)): 1}
         )
         assert euler_defects(projective_plane(), shifted)
+        assert_euler_check_agrees(projective_plane(), shifted)
 
     def test_field_characteristic_matters_structurally(self):
         # the table is well defined at every prime and keeps the step-0 entry

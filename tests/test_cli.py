@@ -122,6 +122,15 @@ class TestAnalyze:
         assert parsed["leray"] == parsed["helly"] == parsed["homological_betti"] == 0
         assert parsed["homological_unreduced"] == 1
 
+    def test_large_full_simplex_all_bounds_zero(self, capsys):
+        status, out, _ = run(
+            capsys, "analyze", "--generator", "full-simplex", "--n", "16",
+            "--format", "json",
+        )
+        assert status == 0
+        parsed = json.loads(out)
+        assert parsed["leray"] == parsed["helly"] == parsed["homological_betti"] == 0
+
     def test_inline_words(self, capsys):
         status, out, _ = run(
             capsys, "analyze", "--words", "110,101,011", "--format", "json"

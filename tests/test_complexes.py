@@ -26,6 +26,7 @@ from codedim.generators import (
     cone,
     cone_of_cross_polytope,
     cross_polytope,
+    full_simplex,
     hollow_simplex,
     code_l26,
     projective_plane,
@@ -383,7 +384,7 @@ class TestMinimalNonfaces:
         assert {s.binary() for s in found} == {"110000", "001100", "000011"}
 
     def test_full_simplex_has_none(self):
-        assert minimal_nonfaces(SimplicialComplex.full_simplex(4)) == frozenset()
+        assert minimal_nonfaces(full_simplex(4)) == frozenset()
 
     def test_l26_single_missing_triangle(self):
         d = complex_of_code(code_l26())
@@ -453,7 +454,7 @@ class TestCliqueComplex:
         edges = [
             VertexSet.of([u, v], 4) for u in range(1, 5) for v in range(u + 1, 5)
         ]
-        assert clique_complex(4, edges) == SimplicialComplex.full_simplex(4)
+        assert clique_complex(4, edges) == full_simplex(4)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 8), seed=st.integers(0, 10_000), density=st.floats(0, 1))
@@ -486,10 +487,13 @@ class TestCliqueComplex:
 
     def test_ambient_checked_before_the_adjacency_list(self, monkeypatch):
         # Without the check, splitting facets on 10^7 vertices would hang.
-        def refuse(d):
-            raise AssertionError(f"a complex built on {d.n} vertices")
+        def refuse(n):
+            raise AssertionError(f"facets reduced on {n} vertices")
 
-        monkeypatch.setattr(complexes.SimplicialComplex, "__post_init__", refuse)
+        monkeypatch.setattr(
+            complexes.SimplicialComplex, "__post_init__", lambda d: refuse(d.n)
+        )
+        monkeypatch.setattr(complexes, "_maximal_bits", lambda words, n: refuse(n))
         tracemalloc.start()
         try:
             with pytest.raises(GuardError):

@@ -38,14 +38,11 @@ from codedim.generators import (
     projective_plane,
     random_complex,
 )
-from codedim.homology import (
-    induced_restrictions,
-    profile_of_face_bits,
-    reduced_homology,
-    restriction_subsets,
-)
+from codedim.homology import profile_of_face_bits, reduced_homology
 from codedim.linalg import PrimeField
 from codedim.oracle import _DENSITIES
+
+from test_homology import induced_restrictions
 
 GF2 = PrimeField(2)
 
@@ -222,8 +219,6 @@ class TestDirectRouteGF2:
         ids=["square", "irrelevant", "missing"],
     )
     def test_skipped_faces_move_no_value(self, d, leray, p):
-        faces = d._face_bits()
-        assert set(restriction_subsets(d.n, faces)) == set(range(1 << d.n)) - faces
         # The skipped empty subset only carries degree -1, so no value moves.
         assert leray_dimension_direct(d, PrimeField(p)) == leray
 
@@ -379,6 +374,13 @@ class TestFullReport:
         assert report.as_tuple() == (0, 0, 0)
         assert report.homological_unreduced == 1
         assert report.witnesses == {}
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_large_full_simplex_is_all_zero(self, n):
+        # a cone's homology and a full simplex's nonfaces need no face scan
+        report = full_report(full_simplex(n), GF2)
+        assert report.as_tuple() == (0, 0, 0)
+        assert report.homological_unreduced == 1
 
     def test_irrelevant_complex_has_all_bounds_zero(self):
         # every vertex is a degree-1 generator, but all values are 0

@@ -32,6 +32,20 @@ class TestOracleSuite:
         summary = run_oracle_suite(4, n=4, seed=0, table_mutator=corrupt_step_one)
         assert not summary.ok
         assert summary.passes["step-one-generators"] == 0
+        assert summary.passes["euler"] == 0
+
+    def test_corrupt_gf3_tables_fail_the_euler_check(self, monkeypatch):
+        def corrupted(d, field):
+            table = hochster_table(d, field)
+            return corrupt_step_one(table) if field.p == 3 else table
+
+        monkeypatch.setattr(oracle, "hochster_table", corrupted)
+        summary = run_oracle_suite(6, n=5, seed=3)
+        # a step-1 beta off by one moves no bound, so only the Euler check sees it
+        assert summary.passes == {
+            name: 0 if name == "euler" else 6 for name in CHECK_NAMES
+        }
+        assert all(" over GF(3)" in failure for failure in summary.failures)
 
     def test_large_n_refused(self):
         with pytest.raises(GuardError):
@@ -56,7 +70,7 @@ class TestOracleSuite:
             (
                 "euler",
                 "_euler_mismatch",
-                lambda real: lambda d, field: 0b00101,
+                lambda real: lambda d, tables: (PrimeField(5), 0b00101),
                 "Euler identity fails on subset 00101",
             ),
             (

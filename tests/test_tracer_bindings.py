@@ -14,6 +14,7 @@ from pathlib import Path
 
 import codedim.betti as betti
 import codedim.complexes as complexes
+import codedim.oracle as oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -81,3 +82,20 @@ def test_odd_p_table_ranks_through_the_betti_binding(monkeypatch):
     assert shapes
     # A map with no column is never handed over.
     assert all(cols for _, cols in shapes)
+
+
+def test_oracle_counts_one_euler_check_and_one_whole_profile_per_trial(monkeypatch):
+    # The tracer times oracle._euler_mismatch as oracle.euler and counts
+    # oracle.profile_of_face_bits as oracle.euler.restrictions.
+    calls = {"_euler_mismatch": 0, "profile_of_face_bits": 0}
+    for name in calls:
+        real = getattr(oracle, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    assert oracle.run_oracle_suite(3, n=5).ok
+    assert calls["_euler_mismatch"] == 3
+    assert calls["profile_of_face_bits"] >= 3
